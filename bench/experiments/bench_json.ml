@@ -91,6 +91,12 @@ let record ~experiment key value =
             experiments := !experiments @ [ (experiment, r) ];
             r
       in
+      (* A key is one metric: a second record would write an object
+         with a repeated key, which JSON readers resolve silently. *)
+      if List.mem_assoc key !row then
+        invalid_arg
+          (Printf.sprintf "Bench_json.record: duplicate key %S in %S" key
+             experiment);
       row := !row @ [ (key, value) ])
 
 (* A one-level metric group.  Nesting is a schema violation, so it is
@@ -191,7 +197,8 @@ let write path =
 
 (* Minimal recursive-descent parser for the JSON subset the writer
    emits (objects, arrays, strings, numbers, bools, null), tracking
-   line numbers for error messages.  Loading is only used by the
+   line numbers for error messages.  An object with a repeated key is
+   rejected: the writer never emits one.  Loading is only used by the
    schema-validation tests and downstream tooling; it does not need to
    be fast. *)
 
@@ -297,6 +304,8 @@ let parse_json (s : string) : json =
           let rec members acc =
             skip_ws ();
             let k = parse_string () in
+            if List.mem_assoc k acc then
+              fail (Printf.sprintf "duplicate key %S" k);
             skip_ws ();
             expect ':';
             let v = parse_value () in

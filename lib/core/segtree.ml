@@ -668,8 +668,6 @@ let first_fit_from t ~from ~len ~height ~limit =
 let first_fit_pos t ~len ~height ~limit =
   first_fit_from t ~from:0 ~len ~height ~limit
 
-let min_peak_start t ~len ~height ~limit = first_fit_pos t ~len ~height ~limit
-
 (* O(n) flatten into the preallocated buffer, by destructive lazy
    push-down: moving every pending add one level toward the leaves
    preserves the represented profile exactly (the parent's tree cell

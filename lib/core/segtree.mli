@@ -93,10 +93,6 @@ val first_fit_from_i : t -> from:int -> len:int -> height:int -> limit:int -> in
 val first_fit_pos : t -> len:int -> height:int -> limit:int -> int option
 (** [first_fit_from] with [from = 0]. *)
 
-val min_peak_start : t -> len:int -> height:int -> limit:int -> int option
-(** Historical alias of {!first_fit_pos} (kept for callers of the
-    pre-kernel interface). *)
-
 val best_start : t -> len:int -> (int * int) option
 (** [best_start t ~len] is [(s, peak)] where [s] is the leftmost start
     minimizing the window peak [range_max t s (s+len)] and [peak] that

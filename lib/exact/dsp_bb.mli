@@ -12,6 +12,10 @@
       non-decreasing start order;
     - mirror symmetry: the first item is confined to the left half.
 
+    Every entry point runs the same node expander; {!decide}/{!solve}
+    search under a fixed height bound (binary search on the height),
+    {!solve_par} under a shared, falling incumbent.
+
     Exact search is exponential — the paper proves the problem
     strongly NP-hard — so all entry points accept a node budget and
     return [None] when it is exhausted. *)
@@ -60,16 +64,16 @@ val solve_par :
   ?stats:par_stats option ref ->
   Instance.t ->
   Packing.t option
-(** Parallel exact search: the same move generator and symmetry
-    reductions as {!solve}, but incumbent-driven — the greedy packing
-    seeds a shared atomic bound and every worker prunes against the
-    global best, re-read at each node.  Work is balanced by stealing:
-    each of the [jobs] domains (default {!Dsp_util.Pool.default_jobs};
-    an existing [pool] can be supplied instead and overrides [jobs])
-    owns a {!Dsp_util.Wsdeque} of search-frontier units seeded from
-    the first item's start columns, pops its own units LIFO, pushes
-    shallow children back as stealable units, and when idle steals the
-    shallowest (largest) unit FIFO from a random victim.  Returns the
+(** Parallel exact search: the same expander as {!solve}, but
+    incumbent-driven — the greedy packing seeds a shared atomic bound
+    and every worker prunes against the global best, re-read at each
+    node.  Work is balanced by stealing: each of the [jobs] domains
+    (default {!Dsp_util.Pool.default_jobs}; an existing [pool] can be
+    supplied instead and overrides [jobs]) owns a {!Dsp_util.Wsdeque}
+    of search-frontier units seeded from the first item's start
+    columns, pops its own units LIFO, pushes shallow children back as
+    stealable units, and when idle steals the shallowest (largest)
+    unit FIFO from a random victim.  Returns the
     optimal packing, or [None] when the *shared* node cap
     ([node_limit], counted across all workers) is exhausted.  The
     caller's [budget] supplies the wall-clock deadline and the
@@ -79,19 +83,6 @@ val solve_par :
     [stats] is given it is filled with this solve's {!par_stats}.
     @raise Dsp_util.Budget.Expired when the budget runs out or is
     cancelled mid-search. *)
-
-val solve_par_dealt :
-  ?node_limit:int ->
-  ?budget:Dsp_util.Budget.t ->
-  ?jobs:int ->
-  ?pool:Dsp_util.Pool.t ->
-  Instance.t ->
-  Packing.t option
-(** The pre-stealing parallel scheduler: root start columns dealt
-    round-robin across the workers once, with no re-balancing.  Same
-    contract as {!solve_par}.  Kept as the ablation baseline for the
-    parallel bench experiment and the load-imbalance regression test;
-    prefer {!solve_par}. *)
 
 val optimal_height_par :
   ?node_limit:int ->
@@ -104,5 +95,4 @@ val optimal_height_par :
 (** Node counts: every explored node bumps the global ["bb.nodes"]
     counter ({!Dsp_util.Instr}); callers that want the count of one
     solve diff {!Dsp_util.Instr.snapshot}s around it (the solver
-    engine's reports do this automatically).  This replaces the old
-    [solve_with_stats] plumbing. *)
+    engine's reports do this automatically). *)

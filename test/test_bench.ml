@@ -73,6 +73,13 @@ let roundtrip_tests =
               (fun () ->
                 Bj.record_group ~experiment:"kernel" "outer"
                   [ ("inner", Bj.Group []) ])));
+    Alcotest.test_case "record rejects a duplicate key" `Quick (fun () ->
+        with_clean (fun () ->
+            Bj.record ~experiment:"E1" "seed" (Bj.Int 0);
+            Alcotest.check_raises "duplicate key"
+              (Invalid_argument
+                 "Bench_json.record: duplicate key \"seed\" in \"E1\"")
+              (fun () -> Bj.record ~experiment:"E1" "seed" (Bj.Int 0))));
     Alcotest.test_case "write is atomic: no temp debris, old file survives a \
                         crashing render"
       `Quick (fun () ->
@@ -146,6 +153,12 @@ let validation_tests =
                     ("minor_collections", Bj.Int 3);
                   ])
         | Error e -> Alcotest.fail e);
+    check_error "duplicate metric key"
+      {|{"schema": "dsp-bench/7", "experiments": [{"id": "E1", "seed": 0, "seed": 0}]}|}
+      "duplicate key \"seed\"";
+    check_error "duplicate group field"
+      {|{"schema": "dsp-bench/7", "experiments": [{"id": "E1", "gc": {"x": 1, "x": 2}}]}|}
+      "duplicate key \"x\"";
     check_error "truncated document"
       {|{"schema": "dsp-bench/3", "experiments": [|} "line 1";
     check_error "trailing garbage"

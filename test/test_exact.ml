@@ -55,6 +55,59 @@ let dsp_bb_tests =
           (Dsp_exact.Dsp_bb.optimal_height inst));
   ]
 
+(* Serial search-tree sizes, pinned exactly: the B&B is deterministic,
+   so any change to its move order, pruning or symmetry rules moves
+   these counts even when every optimum stays right.  Each row is
+   (generator, seed, n, width, nodes of [solve], nodes of [decide] at
+   the lower bound, nodes of [decide] at the lower bound + 1). *)
+let pinned_node_counts =
+  let module Gen = Dsp_instance.Generators in
+  let uniform rng ~n ~width =
+    Gen.uniform rng ~n ~width ~max_w:(width / 2) ~max_h:9
+  in
+  let correlated rng ~n ~width =
+    Gen.correlated rng ~n ~width ~max_w:(width / 2) ~max_h:9
+  in
+  let tall_and_flat rng ~n ~width = Gen.tall_and_flat rng ~n ~width ~max_h:9 in
+  [
+    ("uniform", uniform, 100, 8, 10, 486, 209, 477);
+    ("correlated", correlated, 100, 8, 10, 34, 25, 25);
+    ("uniform", uniform, 101, 9, 12, 143, 133, 10);
+    ("correlated", correlated, 101, 9, 12, 179, 125, 169);
+    ("uniform", uniform, 102, 10, 14, 236, 225, 11);
+    ("uniform", uniform, 103, 11, 16, 12453, 11788, 665);
+    ("correlated", correlated, 103, 11, 16, 2252, 2228, 12);
+    ("tall_and_flat", tall_and_flat, 103, 11, 16, 3749, 3749, 23);
+    ("uniform", uniform, 104, 12, 18, 30011, 29998, 13);
+    ("correlated", correlated, 104, 12, 18, 6581, 6568, 13);
+    ("correlated", correlated, 105, 13, 20, 5036, 4929, 107);
+    ("uniform", uniform, 106, 14, 22, 46, 16, 30);
+  ]
+
+let node_count_tests =
+  [
+    Alcotest.test_case "serial node counts are pinned on a fixed corpus" `Quick
+      (fun () ->
+        let c = Dsp_util.Instr.counter Dsp_util.Instr.Sites.bb_nodes in
+        let nodes f =
+          let before = Dsp_util.Instr.value c in
+          ignore (f ());
+          Dsp_util.Instr.value c - before
+        in
+        List.iter
+          (fun (kind, gen, seed, n, width, solve, at_lb, at_lb1) ->
+            let inst = gen (Dsp_util.Rng.create seed) ~n ~width in
+            let lb = Instance.lower_bound inst in
+            let name what = Printf.sprintf "%s seed %d: %s" kind seed what in
+            Alcotest.(check int) (name "solve") solve
+              (nodes (fun () -> Dsp_exact.Dsp_bb.solve inst));
+            Alcotest.(check int) (name "decide at LB") at_lb
+              (nodes (fun () -> Dsp_exact.Dsp_bb.decide inst ~height:lb));
+            Alcotest.(check int) (name "decide at LB+1") at_lb1
+              (nodes (fun () -> Dsp_exact.Dsp_bb.decide inst ~height:(lb + 1))))
+          pinned_node_counts);
+  ]
+
 let sp_exact_tests =
   [
     Helpers.qtest ~count:40 "sp optimum >= dsp optimum"
@@ -155,5 +208,5 @@ let gap_tests =
   ]
 
 let suite =
-  dsp_bb_tests @ sp_exact_tests @ three_partition_tests @ pts_exact_tests
-  @ gap_tests
+  dsp_bb_tests @ node_count_tests @ sp_exact_tests @ three_partition_tests
+  @ pts_exact_tests @ gap_tests

@@ -279,16 +279,19 @@ let deque_tests =
 let check_opt msg expected actual =
   Alcotest.(check (option int)) msg expected actual
 
-(* One full-width dominant item plus small filler (the bench
-   experiment's skew shape): the dominant item sorts first and admits
-   exactly one start column, so the search root has a single subtree
-   and only stealing can hand work to domains other than 0. *)
+(* One full-width dominant item plus filler (the bench experiment's
+   skew shape): the dominant item sorts first and admits exactly one
+   start column, so the search root has a single subtree and only
+   stealing can hand work to domains other than 0.  The optimum (23)
+   is above the lower bound (22), so the search cannot stop at the
+   first tight packing: it must exhaust the tree below the optimum,
+   which runs long enough (~0.1 s) for every domain to be scheduled. *)
 let skewed_instance () =
-  let rng = Rng.create 35 in
+  let rng = Rng.create 30 in
   let width = 24 in
   let dims =
     (width, 8)
-    :: List.init 27 (fun _ -> (1 + Rng.int rng (width / 3), 1 + Rng.int rng 10))
+    :: List.init 14 (fun _ -> (1 + Rng.int rng (width / 2), 1 + Rng.int rng 10))
   in
   Dsp_core.Instance.of_dims ~width dims
 
@@ -304,7 +307,11 @@ let skew_tests =
       (fun () ->
         let inst = skewed_instance () in
         let stats = ref None in
-        check_opt "optimum matches serial" (Bb.optimal_height inst)
+        let serial = Bb.optimal_height inst in
+        Alcotest.(check bool)
+          "optimum above the lower bound" true
+          (Option.get serial > Dsp_core.Instance.lower_bound inst);
+        check_opt "optimum matches serial" serial
           (par_height ~stats ~jobs:4 inst);
         let st = Option.get !stats in
         Alcotest.(check int) "4 domains ran" 4 st.Bb.domains;
@@ -327,15 +334,6 @@ let skew_tests =
         Alcotest.(check bool)
           (Printf.sprintf "bounded imbalance (worst/best = %d/%d)" worst best)
           true (worst <= 8 * best));
-    Alcotest.test_case "skew regression: round-robin ablation still agrees"
-      `Quick (fun () ->
-        let inst = skewed_instance () in
-        let dealt =
-          match Bb.solve_par_dealt ~jobs:4 inst with
-          | Some pk -> Some (Dsp_core.Packing.height pk)
-          | None -> None
-        in
-        check_opt "dealt scheduler optimum" (Bb.optimal_height inst) dealt);
   ]
 
 let solve_par_tests =

@@ -97,15 +97,15 @@ let segtree_tests =
           done
         done;
         !ok);
-    Alcotest.test_case "min_peak_start finds the first fit" `Quick (fun () ->
+    Alcotest.test_case "first_fit_pos finds the first fit" `Quick (fun () ->
         let t = Segtree.create 6 in
         Segtree.range_add t ~lo:0 ~hi:3 5;
         Segtree.range_add t ~lo:4 ~hi:6 2;
         (* len 2, height 3, limit 5: [3,5) has loads 0,2 -> fits at 3. *)
         Alcotest.check (Alcotest.option Alcotest.int) "start" (Some 3)
-          (Segtree.min_peak_start t ~len:2 ~height:3 ~limit:5);
+          (Segtree.first_fit_pos t ~len:2 ~height:3 ~limit:5);
         Alcotest.check (Alcotest.option Alcotest.int) "impossible" None
-          (Segtree.min_peak_start t ~len:6 ~height:1 ~limit:5));
+          (Segtree.first_fit_pos t ~len:6 ~height:1 ~limit:5));
     Alcotest.test_case "accumulation near max_int raises, never wraps" `Quick
       (fun () ->
         (* Segtree-backed path: the O(1) root guard fires on the add

@@ -19,8 +19,9 @@ type config = {
 }
 
 (* The production configuration: the flat Segtree kernel's hot-path
-   entry points (the ones the perf gate's alloc probe samples) and the
-   serve daemon's request dispatcher. *)
+   entry points (the ones the perf gate's alloc probe samples), the
+   exact search's node expander, and the serve daemon's request
+   dispatcher. *)
 let project_config =
   {
     r7_roots =
@@ -29,6 +30,7 @@ let project_config =
         "Segtree.range_max";
         "Segtree.first_fit_from_i";
         "Segtree.find_last_above_i";
+        "Dsp_bb.expand";
       ];
     r8_roots = [ "Server.handle" ];
   }
