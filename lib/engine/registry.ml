@@ -49,12 +49,17 @@ let ignore_budget f ~budget inst =
   f inst
 
 (* The Theorem 1 duality put to work as a solver: items become PTS
-   jobs (p = w, q = h), a machine count m is guessed, and Garey–Graham
-   list scheduling is asked for a schedule with makespan <= W; job
-   start times are exactly item start columns, and the peak is at most
-   m.  The smallest workable m is found by binary search (feasibility
-   of the heuristic is not strictly monotone in m, so the best packing
-   seen is kept, as in first-fit doubling). *)
+   jobs (p = w, q = h) and a machine count m is guessed.  A probe at m
+   is a Garey–Graham list schedule cut to the strip: first fit of the
+   items, widest first, on a width-W profile with limit m, failing at
+   the first item with no start in [0, W - w].  Probes compute start
+   times only; job start times are exactly item start columns and the
+   peak is at most m.  The smallest workable m is found by binary
+   search (feasibility of the heuristic is not strictly monotone in m,
+   so the best packing seen is kept, as in first-fit doubling).
+   Machine sets are recovered once, for the packing returned, at the m
+   of the probe that produced it: the Figure 3 sweep builds the PTS
+   schedule and Pts.Schedule.make validates it, raising on failure. *)
 let pts_duality (inst : Instance.t) =
   if Instance.n_items inst = 0 then Packing.make inst [||]
   else begin
@@ -68,23 +73,25 @@ let pts_duality (inst : Instance.t) =
     let best = ref None in
     let ok m =
       let pts = Dsp_instance.Generators.pts_of_dsp inst ~height:m in
-      let sched =
-        Dsp_pts.List_scheduling.schedule
-          ~order:Dsp_pts.List_scheduling.Longest_first pts
-      in
-      if Pts.Schedule.makespan sched <= width then begin
-        let pk = Packing.make inst (Array.copy sched.Pts.Schedule.sigma) in
-        (match !best with
-        | Some b when Packing.height b <= Packing.height pk -> ()
-        | _ -> best := Some pk);
-        true
-      end
-      else false
+      match
+        Dsp_pts.List_scheduling.start_times
+          ~order:Dsp_pts.List_scheduling.Longest_first pts ~horizon:width
+      with
+      | Some sigma ->
+          let pk = Packing.make inst sigma in
+          (match !best with
+          | Some (b, _) when Packing.height b <= Packing.height pk -> ()
+          | _ -> best := Some (pk, m));
+          true
+      | None -> false
     in
     (* ok (sum of heights) always holds: with m = Σh every job can
-       start at time 0, so the makespan is max w <= W. *)
+       start at time 0, so every item fits at column 0. *)
     ignore (Dsp_util.Xutil.binary_search_min lb (max lb ub) ok);
-    Option.get !best
+    let pk, m = Option.get !best in
+    match Dsp_transform.Transform.packing_to_schedule pk ~machines:m with
+    | Ok _ -> pk
+    | Error msg -> invalid_arg ("pts-duality: " ^ msg)
   end
 
 let exact_bb ~budget inst =

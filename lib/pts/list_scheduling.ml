@@ -19,43 +19,53 @@ let comparator = function
 let makespan_bound (inst : Pts.Inst.t) =
   Pts.Inst.work_lower_bound inst + Pts.Inst.max_time inst
 
-let schedule ?(order = Work_first) (inst : Pts.Inst.t) =
+let start_times ?(order = Work_first) (inst : Pts.Inst.t) ~horizon =
   let m = inst.Pts.Inst.machines in
-  let n = Pts.Inst.n_jobs inst in
-  if n = 0 then Pts.Schedule.make inst ~sigma:[||] ~rho:[||]
-  else begin
-    (* The sequential horizon always admits a first-fit slot. *)
-    let horizon =
-      Array.fold_left (fun acc (j : Pts.Job.t) -> acc + j.p) 1 inst.Pts.Inst.jobs
-    in
-    let profile = Segtree.create horizon in
-    let sigma = Array.make n 0 in
-    let jobs = Array.to_list inst.Pts.Inst.jobs |> List.sort (comparator order) in
-    List.iter
-      (fun (j : Pts.Job.t) ->
-        match
-          Segtree.first_fit_pos profile ~len:j.p ~height:j.q ~limit:m
-        with
-        | Some t ->
-            sigma.(j.id) <- t;
-            Segtree.range_add profile ~lo:t ~hi:(t + j.p) j.q
-        | None -> assert false (* the horizon bound guarantees a slot *))
-      jobs;
-    (* Recover machine sets via the Figure 3 sweep on the dual
-       packing. *)
-    let finish = ref 1 in
-    Array.iteri
-      (fun i s ->
-        let j = Pts.Inst.job inst i in
-        if s + j.Pts.Job.p > !finish then finish := s + j.Pts.Job.p)
-      sigma;
-    let dual = Dsp_transform.Transform.pts_to_dsp_instance inst ~width:!finish in
-    let pk = Packing.make dual sigma in
-    match Dsp_transform.Transform.packing_to_schedule pk ~machines:m with
-    | Ok (sched, _) ->
-        Pts.Schedule.make inst ~sigma:sched.Pts.Schedule.sigma
-          ~rho:sched.Pts.Schedule.rho
-    | Error msg -> invalid_arg ("List_scheduling.schedule: " ^ msg)
-  end
+  let sigma = Array.make (Pts.Inst.n_jobs inst) 0 in
+  let profile = Segtree.create (max 1 horizon) in
+  let jobs = Array.copy inst.Pts.Inst.jobs in
+  Array.stable_sort (comparator order) jobs;
+  (* Stop at the first job without a start in [0, horizon - p]. *)
+  let rec place k =
+    if k = Array.length jobs then Some sigma
+    else
+      let j = jobs.(k) in
+      let t = Segtree.first_fit_from_i profile ~from:0 ~len:j.p ~height:j.q ~limit:m in
+      if t < 0 then None
+      else begin
+        sigma.(j.id) <- t;
+        Segtree.range_add profile ~lo:t ~hi:(t + j.p) j.q;
+        place (k + 1)
+      end
+  in
+  place 0
 
-let makespan ?order inst = Pts.Schedule.makespan (schedule ?order inst)
+(* First fit always succeeds within the sequential horizon Σp: a job
+   can start once every earlier one has finished. *)
+let sequential_starts ?order (inst : Pts.Inst.t) =
+  let horizon = Array.fold_left (fun acc (j : Pts.Job.t) -> acc + j.p) 0 inst.Pts.Inst.jobs in
+  match start_times ?order inst ~horizon with
+  | Some sigma -> sigma
+  | None -> assert false
+
+let finish (inst : Pts.Inst.t) sigma =
+  let f = ref 0 in
+  Array.iteri (fun i s -> f := max !f (s + (Pts.Inst.job inst i).Pts.Job.p)) sigma;
+  !f
+
+let schedule ?order (inst : Pts.Inst.t) =
+  let sigma = sequential_starts ?order inst in
+  (* Recover machine sets via the Figure 3 sweep on the dual
+     packing. *)
+  let dual =
+    Dsp_transform.Transform.pts_to_dsp_instance inst ~width:(max 1 (finish inst sigma))
+  in
+  match
+    Dsp_transform.Transform.packing_to_schedule (Packing.make dual sigma)
+      ~machines:inst.Pts.Inst.machines
+  with
+  | Ok (sched, _) ->
+      Pts.Schedule.make inst ~sigma:sched.Pts.Schedule.sigma ~rho:sched.Pts.Schedule.rho
+  | Error msg -> invalid_arg ("List_scheduling.schedule: " ^ msg)
+
+let makespan ?order inst = finish inst (sequential_starts ?order inst)

@@ -56,7 +56,7 @@ let critical_path t allotment =
 let balanced_allotment t =
   let n = Array.length t.jobs in
   let allotment = Array.make n 1 in
-  let eval a = Pts.Schedule.makespan (List_scheduling.schedule (allot t a)) in
+  let eval a = List_scheduling.makespan (allot t a) in
   let bound a =
     max (Dsp_util.Xutil.ceil_div (work_of t a) t.machines) (critical_path t a)
   in

@@ -168,11 +168,14 @@ let packing_to_schedule (pk : Packing.t) ~machines =
           last_event := t
         end;
         let q = (Instance.item inst i).Item.h in
-        let free = ref [] in
-        for m = machines - 1 downto 0 do
-          if busy_until.(m) <= t then free := m :: !free
-        done;
-        let chosen = Dsp_util.Xutil.take q !free in
+        (* The lowest q machines free at t: scan upward, stop at the
+           q-th. *)
+        let rec lowest_free m need =
+          if need = 0 || m = machines then []
+          else if busy_until.(m) <= t then m :: lowest_free (m + 1) (need - 1)
+          else lowest_free (m + 1) need
+        in
+        let chosen = lowest_free 0 q in
         assert (List.length chosen = q);
         List.iter
           (fun m -> busy_until.(m) <- t + (Instance.item inst i).Item.w)

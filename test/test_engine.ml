@@ -99,6 +99,62 @@ let counter_tests =
         | Ok _ -> Alcotest.fail "expected budget exhaustion");
   ]
 
+(* Differential reference for pts-duality's bounded probe: the same
+   binary search, but every probe builds the full list schedule over
+   Σp (machine sets included) and accepts when its makespan is at
+   most W. *)
+let reference_pts_duality (inst : Instance.t) =
+  if Instance.n_items inst = 0 then Packing.make inst [||]
+  else begin
+    let width = inst.Instance.width in
+    let lb = max 1 (Instance.lower_bound inst) in
+    let ub = Array.fold_left (fun acc (it : Item.t) -> acc + it.Item.h) 0 inst.Instance.items in
+    let best = ref None in
+    let ok m =
+      let pts = Dsp_instance.Generators.pts_of_dsp inst ~height:m in
+      let sched =
+        Dsp_pts.List_scheduling.schedule ~order:Dsp_pts.List_scheduling.Longest_first pts
+      in
+      Pts.Schedule.makespan sched <= width
+      && begin
+           let pk = Packing.make inst sched.Pts.Schedule.sigma in
+           (match !best with
+           | Some b when Packing.height b <= Packing.height pk -> ()
+           | _ -> best := Some pk);
+           true
+         end
+    in
+    ignore (Dsp_util.Xutil.binary_search_min lb (max lb ub) ok);
+    Option.get !best
+  end
+
+let pts_duality inst =
+  (Registry.find_exn "pts-duality").Solver.solve ~budget:(Dsp_util.Budget.unlimited ()) inst
+
+let pts_duality_tests =
+  [
+    Helpers.qtest ~count:200 "pts-duality returns the full-schedule probe's packing"
+      (Helpers.instance_arb ~max_width:40 ~max_n:30 ~max_h:12 ()) (fun inst ->
+        Packing.starts (pts_duality inst)
+        = Packing.starts (reference_pts_duality inst));
+    (* Deterministic kernel work of one solve, pinned exactly: an extra
+       probe, or a probe that runs past its first misfit, moves these. *)
+    Alcotest.test_case "pts-duality kernel work is pinned" `Quick (fun () ->
+        let inst =
+          Dsp_instance.Generators.uniform (Dsp_util.Rng.create 13) ~n:60 ~width:80
+            ~max_w:40 ~max_h:12
+        in
+        let first_fit = Dsp_util.Instr.(counter Sites.segtree_first_fit)
+        and range_add = Dsp_util.Instr.(counter Sites.segtree_range_add) in
+        let ff0 = Dsp_util.Instr.value first_fit
+        and ra0 = Dsp_util.Instr.value range_add in
+        ignore (pts_duality inst);
+        Alcotest.(check (pair int int))
+          "segtree.first_fit, segtree.range_add" (509, 1287)
+          ( Dsp_util.Instr.value first_fit - ff0,
+            Dsp_util.Instr.value range_add - ra0 ));
+  ]
+
 let contains_substring hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -143,4 +199,5 @@ let corruption_tests =
   ]
 
 let suite =
-  registry_tests @ solver_report_tests @ counter_tests @ corruption_tests
+  registry_tests @ solver_report_tests @ counter_tests @ pts_duality_tests
+  @ corruption_tests

@@ -47,6 +47,26 @@ let list_scheduling_tests =
               (Pts.Schedule.validate (Dsp_pts.List_scheduling.schedule ~order inst)))
           Dsp_pts.List_scheduling.
             [ Input; Longest_first; Widest_first; Work_first ]);
+    (* Differential oracle for the bounded first fit: at every horizon
+       it fails exactly when the full schedule runs past it, and
+       otherwise agrees with it start for start. *)
+    Helpers.qtest "bounded start times match the full list schedule"
+      (Helpers.pts_arb ()) (fun inst ->
+        let sum_p =
+          Array.fold_left (fun acc (j : Pts.Job.t) -> acc + j.p) 0 inst.Pts.Inst.jobs
+        in
+        List.for_all
+          (fun order ->
+            let sched = Dsp_pts.List_scheduling.schedule ~order inst in
+            let mk = Pts.Schedule.makespan sched in
+            Dsp_pts.List_scheduling.makespan ~order inst = mk
+            && List.for_all
+                 (fun horizon ->
+                   match Dsp_pts.List_scheduling.start_times ~order inst ~horizon with
+                   | None -> mk > horizon
+                   | Some sigma -> mk <= horizon && sigma = sched.Pts.Schedule.sigma)
+                 (List.init (sum_p + 1) (fun h -> h + 1)))
+          Dsp_pts.List_scheduling.[ Input; Longest_first; Widest_first; Work_first ]);
   ]
 
 let exact_small_tests =
