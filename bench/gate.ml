@@ -24,7 +24,8 @@
      invariant — serve-smoke — simply don't record the metric);
    - every "*agree" correctness cross-check = 1 in the candidate
      (kernel agreement, the serve experiment's peak_agree /
-     recover_agree).
+     recover_agree), and every one the baseline carries present in
+     the candidate.
 
    Exit 0 clean, 1 on regression, 2 on usage or unreadable input. *)
 
@@ -169,7 +170,14 @@ let () =
     | Some (Bench_json.Int 1) -> ()
     | _ -> fail "FAIL flat_alloc_zero is not 1 in candidate\n"
   end;
-  (* Correctness cross-checks recorded by the experiment itself. *)
+  (* Correctness cross-checks recorded by the experiment itself.  A
+     check the baseline carries must still run in the candidate: a
+     dropped check would otherwise pass silently. *)
+  List.iter
+    (fun (k, _) ->
+      if has_suffix "agree" k && not (List.mem_assoc k cand) then
+        fail "FAIL %-28s missing from candidate\n" k)
+    base;
   List.iter
     (fun (k, v) ->
       if has_suffix "agree" k then

@@ -17,6 +17,11 @@ module Naive = struct
       invalid_arg
         (Printf.sprintf "Profile.add: range [%d,%d) outside strip of width %d"
            start stop (width t));
+    (* Check every column before writing any, so an overflow refuses
+       the whole add instead of leaving it half-applied. *)
+    for x = start to stop - 1 do
+      ignore (Dsp_util.Xutil.checked_add t.loads.(x) height)
+    done;
     for x = start to stop - 1 do
       t.loads.(x) <- Dsp_util.Xutil.checked_add t.loads.(x) height
     done

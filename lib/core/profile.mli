@@ -83,11 +83,15 @@ val render : ?max_rows:int -> t -> string
 (** ASCII skyline, one character column per strip column, for the
     examples and the CLI. *)
 
-(** The pre-kernel flat-array profile, kept as a reference
-    implementation.  Differential property tests
+(** The pre-kernel flat-array profile: the one simple oracle for the
+    segment-tree kernel.  Differential property tests
     ([test/test_kernel.ml]) drive both implementations with the same
     operation streams and require identical answers; the kernel
-    benchmark uses it as the naive baseline. *)
+    benchmark uses it as the naive baseline.  Like the production
+    profile, [add] refuses an overflowing update atomically: it checks
+    every column before writing any.  Its overflow check is per column
+    rather than the kernel's conservative whole-tree guard, so the two
+    differ on adds whose window misses the current peak. *)
 module Naive : sig
   type t
 

@@ -1,17 +1,10 @@
-(* The packing kernel: a lazy range-add / range-max segment tree in
-   two implementations.
+(* The packing kernel: a lazy range-add / range-max segment tree.
 
-   [Boxed] is the original recursive kernel over an OCaml record of
-   two int arrays — kept verbatim as the differential-testing
-   reference and as the ablation baseline of the [kernel] bench
-   experiment.
-
-   The default implementation below it is a flat, implicit-layout
-   kernel on a single [Bigarray] in [c_layout]: nodes are 1-based
-   (root 1, children 2v / 2v+1, leaves at [size, 2*size)), and node
-   [v]'s two cells live interleaved at offsets [2v] (subtree max,
-   inclusive of the node's own pending add) and [2v+1] (pending add
-   for the whole subtree).  All traversals are iterative: bottom-up
+   A flat, implicit-layout kernel on a single [Bigarray] in
+   [c_layout]: nodes are 1-based (root 1, children 2v / 2v+1, leaves
+   at [size, 2*size)), and node [v]'s two cells live interleaved at
+   offsets [2v] (subtree max, inclusive of the node's own pending
+   add) and [2v+1] (pending add for the whole subtree).  All traversals are iterative: bottom-up
    leaf-interval climbs for updates (boundary root paths rebuilt in
    one merged climb above their common ancestor), top-down
    boundary-path descents for queries, and a dirty-tracked flatten
@@ -30,12 +23,12 @@
    ([Bigarray.int], 63-bit payload), not boxed [int64]: without
    flambda every [int64] Bigarray read allocates its box, which would
    reintroduce per-op GC pressure — the exact cost this kernel
-   removes.  The public interface is native [int] throughout, and the
-   overflow discipline of the boxed kernel is preserved unchanged: a
-   positive [range_add] proves [root max + value] representable via
-   [Xutil.checked_add] (so accumulated maxima never wrap), and
-   comparison thresholds are built with the saturating
-   [Xutil.sat_sub].  dsp_lint rule R1 audits this file; the remaining
+   removes.  The public interface is native [int] throughout.
+
+   Overflow discipline: a positive [range_add] proves
+   [root max + value] representable via [Xutil.checked_add] (so
+   accumulated maxima never wrap), and comparison thresholds are
+   built with the saturating [Xutil.sat_sub].  dsp_lint rule R1 audits this file; the remaining
    raw [+]/[-] sites are index arithmetic or accumulations covered by
    the root guard, each carrying its waiver and justification. *)
 
@@ -43,186 +36,12 @@ module A1 = Bigarray.Array1
 
 (* Kernel op counters (Dsp_util.Instr): one handle per entry point,
    bumped per public call, so the engine's per-solve reports show how
-   hard each algorithm leans on the kernel.  Both implementations bump
-   the same handles — the [counters] experiment attributes kernel
-   traffic identically whichever kernel a solver runs on. *)
+   hard each algorithm leans on the kernel. *)
 let c_range_add = Dsp_util.Instr.counter Dsp_util.Instr.Sites.segtree_range_add
 let c_range_max = Dsp_util.Instr.counter Dsp_util.Instr.Sites.segtree_range_max
 let c_first_fit = Dsp_util.Instr.counter Dsp_util.Instr.Sites.segtree_first_fit
 let c_last_above = Dsp_util.Instr.counter Dsp_util.Instr.Sites.segtree_find_last_above
 let c_best_start = Dsp_util.Instr.counter Dsp_util.Instr.Sites.segtree_best_start
-
-module Boxed = struct
-  type t = {
-    n : int;
-    size : int; (* smallest power of two >= n *)
-    tree : int array; (* max of subtree, including pending adds below *)
-    lazy_ : int array; (* pending add for the whole subtree *)
-  }
-
-  let create n =
-    if n < 1 then invalid_arg "Segtree.create: size must be >= 1";
-    let size = ref 1 in
-    while !size < n do
-      size := !size * 2
-    done;
-    { n; size = !size; tree = Array.make (2 * !size) 0; lazy_ = Array.make (2 * !size) 0 }
-
-  let size t = t.n
-  let copy t = { t with tree = Array.copy t.tree; lazy_ = Array.copy t.lazy_ }
-
-  (* Node [v] covers columns [node_lo, node_hi). The displayed value of a
-     node is tree.(v) + sum of lazy_ on its ancestors; we keep tree.(v)
-     inclusive of the node's own lazy, which makes queries top-down
-     accumulate only strictly-above lazies. *)
-
-  let rec add_rec t v node_lo node_hi lo hi value =
-    if hi <= node_lo || node_hi <= lo then ()
-    else if lo <= node_lo && node_hi <= hi then begin
-      (* range_add's O(1) root pre-check already proved max + value
-         fits, and every node value is <= the root max. *)
-      t.tree.(v) <- t.tree.(v) + value; (* lint: ok R1 — root guard *)
-      t.lazy_.(v) <- t.lazy_.(v) + value (* lint: ok R1 — same root guard *)
-    end
-    else begin
-      let mid = (node_lo + node_hi) / 2 in (* lint: ok R1 — indices <= 2*size *)
-      add_rec t (2 * v) node_lo mid lo hi value;
-      add_rec t ((2 * v) + 1) mid node_hi lo hi value;
-      (* lint: ok R1 — rebuilt from guarded child values *)
-      t.tree.(v) <- t.lazy_.(v) + max t.tree.(2 * v) t.tree.((2 * v) + 1)
-    end
-
-  let range_add t ~lo ~hi value =
-    if lo < 0 || hi > t.n || lo > hi then invalid_arg "Segtree.range_add: bad range";
-    Dsp_util.Instr.bump c_range_add;
-    if lo < hi then begin
-      (* O(1) accumulation overflow guard: a positive add can only push
-         an int past [max_int] through the running maximum, and the root
-         carries exactly that maximum.  (Negative adds cannot raise the
-         max; underflow of untracked minima is out of scope.) *)
-      if value > 0 then ignore (Dsp_util.Xutil.checked_add t.tree.(1) value);
-      add_rec t 1 0 t.size lo hi value
-    end
-
-  let rec max_rec t v node_lo node_hi lo hi acc_lazy =
-    if hi <= node_lo || node_hi <= lo then min_int
-    else if lo <= node_lo && node_hi <= hi then acc_lazy + t.tree.(v)
-    else
-      let mid = (node_lo + node_hi) / 2 in
-      let acc = acc_lazy + t.lazy_.(v) in
-      max
-        (max_rec t (2 * v) node_lo mid lo hi acc)
-        (max_rec t ((2 * v) + 1) mid node_hi lo hi acc)
-
-  let range_max t ~lo ~hi =
-    if lo < 0 || hi > t.n || lo > hi then invalid_arg "Segtree.range_max: bad range";
-    Dsp_util.Instr.bump c_range_max;
-    if lo >= hi then 0 else max_rec t 1 0 t.size lo hi 0
-
-  let max_all t = range_max t ~lo:0 ~hi:t.n
-  let get t i = range_max t ~lo:i ~hi:(i + 1)
-
-  let of_array arr =
-    let t = create (Array.length arr) in
-    Array.iteri (fun i v -> range_add t ~lo:i ~hi:(i + 1) v) arr;
-    t
-
-  (* Flatten in O(n) with a single lazy-accumulating walk (get-per-index
-     would be O(n log n) and dominates the profile renderers). *)
-  let to_array t =
-    let out = Array.make t.n 0 in
-    let rec go v node_lo node_hi acc =
-      if node_lo < t.n then
-        if node_hi - node_lo = 1 then out.(node_lo) <- acc + t.tree.(v)
-        else begin
-          let mid = (node_lo + node_hi) / 2 in
-          let acc = acc + t.lazy_.(v) in
-          go (2 * v) node_lo mid acc;
-          go ((2 * v) + 1) mid node_hi acc
-        end
-    in
-    go 1 0 t.size 0;
-    out
-
-  (* Rightmost leaf in [lo, hi) whose value is strictly above the
-     threshold, or -1.  Subtrees whose max is already <= threshold are
-     pruned wholesale (valid even on partial overlap, since the subtree
-     max dominates the max of any intersection), so the descent visits
-     O(log n) nodes amortized. *)
-  let rec last_above_rec t v node_lo node_hi lo hi thr acc =
-    if hi <= node_lo || node_hi <= lo then -1
-    else if acc + t.tree.(v) <= thr then -1
-    else if node_hi - node_lo = 1 then node_lo
-    else
-      let mid = (node_lo + node_hi) / 2 in
-      let acc = acc + t.lazy_.(v) in
-      let r = last_above_rec t ((2 * v) + 1) mid node_hi lo hi thr acc in
-      if r >= 0 then r else last_above_rec t (2 * v) node_lo mid lo hi thr acc
-
-  let find_last_above t ~lo ~hi threshold =
-    if lo < 0 || hi > t.n || lo > hi then
-      invalid_arg "Segtree.find_last_above: bad range";
-    Dsp_util.Instr.bump c_last_above;
-    let r = last_above_rec t 1 0 t.size lo hi threshold 0 in
-    if r < 0 then None else Some r
-
-  (* Skip-ahead first fit: test the window at [s]; on violation, jump
-     past the *last* violating column instead of stepping to [s + 1].
-     Every violating column is skipped exactly once across the whole
-     scan, so a full placement costs O((k + 1) log n) where k is the
-     number of violating columns encountered, instead of O(n * len). *)
-  let first_fit_from t ~from ~len ~height ~limit =
-    Dsp_util.Instr.bump c_first_fit;
-    if len < 1 || len > t.n then None
-    else begin
-      let thr = Dsp_util.Xutil.sat_sub limit height in
-      let rec go s =
-        if s + len > t.n then None (* lint: ok R1 — s, len <= n *)
-        else
-          match last_above_rec t 1 0 t.size s (s + len) thr 0 with (* lint: ok R1 — s + len <= n *)
-          | -1 -> Some s
-          | j -> go (j + 1)
-      in
-      go (max 0 from)
-    end
-
-  let first_fit_pos t ~len ~height ~limit =
-    first_fit_from t ~from:0 ~len ~height ~limit
-
-  (* Sliding-window maximum (monotonic deque) over an O(n) flatten:
-     all window peaks in O(n), versus n range-max queries. *)
-  let best_start t ~len =
-    Dsp_util.Instr.bump c_best_start;
-    if len < 1 || len > t.n then None
-    else begin
-      let loads = to_array t in
-      let n = t.n in
-      let dq = Array.make n 0 in
-      let head = ref 0 and tail = ref 0 in
-      let best_s = ref 0 and best_peak = ref max_int in
-      for x = 0 to n - 1 do
-        while !tail > !head && loads.(dq.(!tail - 1)) <= loads.(x) do
-          decr tail
-        done;
-        dq.(!tail) <- x;
-        incr tail;
-        let s = x - len + 1 in (* lint: ok R1 — window index < n *)
-        if s >= 0 then begin
-          while dq.(!head) < s do
-            incr head
-          done;
-          let wmax = loads.(dq.(!head)) in
-          if wmax < !best_peak then begin
-            best_peak := wmax;
-            best_s := s
-          end
-        end
-      done;
-      Some (!best_s, !best_peak)
-    end
-end
-
-(* ----- the flat kernel (default) ----------------------------------- *)
 
 type t = {
   n : int; (* columns *)
@@ -385,7 +204,7 @@ let range_add t ~lo ~hi value =
   if lo < 0 || hi > t.n || lo > hi then invalid_arg "Segtree.range_add: bad range";
   Dsp_util.Instr.bump c_range_add;
   if lo < hi then begin
-    (* O(1) accumulation overflow guard, identical to Boxed: a
+    (* O(1) accumulation overflow guard: a
        positive add can only push an int past [max_int] through the
        running maximum, and the root cell carries exactly that
        maximum. *)
@@ -534,7 +353,7 @@ let descend_above t v0 acc0 thr =
 
 (* Core of find_last_above, shared with the first-fit skip-ahead (no
    counter bump, no bounds check): rightmost column of [lo, hi) whose
-   value is strictly above [thr], or -1.  Iterative mirror of Boxed's
+   value is strictly above [thr], or -1.  Iterative form of a
    right-then-left recursion: descend to the split node pruning
    subtrees whose adjusted max is <= thr, search the right (prefix)
    part remembering the deepest fully-covered left sibling that could
@@ -641,7 +460,7 @@ let find_last_above t ~lo ~hi threshold =
   let r = find_last_above_i t ~lo ~hi threshold in
   if r < 0 then None else Some r
 
-(* Skip-ahead first fit, as in Boxed: a failed window jumps directly
+(* Skip-ahead first fit: a failed window jumps directly
    past its last violating column.  The [_i] form returns -1 for "no
    fit" so the branch-and-bound hot loop never allocates an option. *)
 let first_fit_from_i t ~from ~len ~height ~limit =

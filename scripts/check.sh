@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 verify plus smoke runs of the perf and robustness paths:
 # build, unit/property tests (including the kernel differential
-# suite), a tiny kernel ablation to catch perf-path regressions that
-# type-check but break at runtime, a fault-injection smoke that
-# proves injected crashes are caught at the engine boundary — typed
-# failures, never a segfault or a hang (everything runs under
-# timeout) — and an online-session smoke that replays a tiny trace
-# under every placement policy.
+# suite), CI-sized kernel, serve and parallel benches gated against
+# their baselines to catch perf-path regressions that type-check but
+# break at runtime, a fault-injection smoke that proves injected
+# crashes are caught at the engine boundary — typed failures, never a
+# segfault or a hang (everything runs under timeout) — and an
+# online-session smoke that replays a tiny trace under every
+# placement policy.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,11 +45,12 @@ echo "ok: warm lint rerun served every summary from the cache"
 
 dune runtest
 
-# --- kernel perf gate -------------------------------------------------
-# Runs the kernel-smoke ablation and fails on wall-clock or
-# steady-state-allocation regressions against the checked-in
-# bench/results/baseline-kernel-smoke.json (see scripts/perf_gate.sh
-# for thresholds and how to refresh the baseline).
+# --- perf gate --------------------------------------------------------
+# Runs kernel-smoke, serve-smoke and parallel-smoke and fails on
+# wall-clock, latency, steady-state-allocation or agreement
+# regressions against each checked-in
+# bench/results/baseline-<exp>.json (see scripts/perf_gate.sh for
+# thresholds and how to refresh a baseline).
 ./scripts/perf_gate.sh
 
 # --- fault-injection smoke -------------------------------------------

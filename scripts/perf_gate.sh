@@ -13,7 +13,8 @@
 #   - nonzero steady-state kernel allocation (flat_alloc_zero != 1),
 #     whenever the baseline experiment records the invariant,
 #   - any "*agree" correctness check != 1 (kernel agreement, the
-#     serve experiment's peak_agree / recover_agree).
+#     serve experiment's peak_agree / recover_agree), or one the
+#     baseline carries missing from the candidate.
 #
 # Refresh a baseline after an intentional perf change with:
 #   DSP_BENCH_REPS=5 DSP_BENCH_RESULTS=none \

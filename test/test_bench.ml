@@ -1,5 +1,6 @@
-(* Crash-safe BENCH.json: atomic writes, and schema validation with
-   descriptive errors on load. *)
+(* Crash-safe BENCH.json: atomic writes, schema validation with
+   descriptive errors on load, and the perf gate's correctness
+   checks. *)
 
 module Bj = Dsp_bench.Bench_json
 
@@ -176,4 +177,38 @@ let validation_tests =
           (Result.is_error (Bj.load "/nonexistent/BENCH.json")));
   ]
 
-let suite = roundtrip_tests @ validation_tests
+(* Drives bench/gate.exe on two hand-written one-experiment files and
+   returns its exit code. *)
+let run_gate ~baseline ~candidate =
+  in_temp_dir (fun dir ->
+      let write name text =
+        let path = Filename.concat dir name in
+        Out_channel.with_open_bin path (fun oc -> output_string oc text);
+        path
+      in
+      let b = write "baseline.json" baseline in
+      let c = write "candidate.json" candidate in
+      Sys.command
+        (Filename.quote_command ~stdout:Filename.null
+           (Filename.concat (Filename.concat ".." "bench") "gate.exe")
+           [ "--baseline"; b; c; "kernel-smoke" ]))
+
+let smoke_doc extra =
+  Printf.sprintf
+    {|{"schema": "dsp-bench/7", "experiments": [{"id": "kernel-smoke", "status": "ok"%s}]}|}
+    extra
+
+let gate_tests =
+  let agree = {|, "W1.storm_agree": 1|} in
+  [
+    Alcotest.test_case "gate passes an agree check kept by the candidate"
+      `Quick (fun () ->
+        Alcotest.(check int) "exit code" 0
+          (run_gate ~baseline:(smoke_doc agree) ~candidate:(smoke_doc agree)));
+    Alcotest.test_case "gate fails an agree check dropped by the candidate"
+      `Quick (fun () ->
+        Alcotest.(check int) "exit code" 1
+          (run_gate ~baseline:(smoke_doc agree) ~candidate:(smoke_doc "")));
+  ]
+
+let suite = roundtrip_tests @ validation_tests @ gate_tests

@@ -1,8 +1,9 @@
 (* Differential tests for the segment-tree packing kernel: the
    segtree-backed Profile must agree with the flat-array
-   Profile.Naive reference on every operation, and the kernel
-   placement queries (first_fit_pos / first_fit_from / best_start /
-   find_last_above) must agree with direct linear scans. *)
+   Profile.Naive reference on every operation, and every kernel query
+   (range_max / max_all / first_fit_from / best_start /
+   find_last_above, with their sentinel forms) must agree with direct
+   linear scans of a plain load array. *)
 
 open Dsp_core
 module Rng = Dsp_util.Rng
@@ -118,6 +119,29 @@ let scan_first_fit a ~from ~len ~height ~limit =
   in
   if len < 1 || len > width then None else go (max 0 from)
 
+let scan_last_above a ~lo ~hi thr =
+  let r = ref None in
+  for x = lo to hi - 1 do
+    if a.(x) > thr then r := Some x
+  done;
+  !r
+
+(* Leftmost start minimizing the window max, with that max. *)
+let scan_best_start a len =
+  let width = Array.length a in
+  if len > width then None
+  else begin
+    let best = ref (-1) and best_peak = ref max_int in
+    for s = 0 to width - len do
+      let m = window_max a s len in
+      if m < !best_peak then begin
+        best_peak := m;
+        best := s
+      end
+    done;
+    Some (!best, !best_peak)
+  end
+
 let query_arb =
   QCheck.make
     ~print:(fun ((w, ops), (from, len, height, limit)) ->
@@ -131,20 +155,19 @@ let query_arb =
       let* limit = int_range 0 30 in
       return ((width, ops), (from, len, height, limit)))
 
-(* ---- flat kernel vs Segtree.Boxed ---- *)
+(* ---- kernel vs linear scans on one op stream ---- *)
 
-(* The flat Bigarray kernel and the retained recursive kernel must
-   agree on every operation of the same randomized stream (the naive
-   Profile checks above pin both to ground truth; this pins them to
-   each other on the full query surface, including the sentinel
-   variants the hot loops use). *)
-let flat_vs_boxed_stream () =
+(* The kernel and a plain load array take the same randomized stream
+   of range adds; every query on the full surface, including the
+   sentinel variants the hot loops use, must match a linear scan of
+   the array. *)
+let kernel_vs_scans_stream () =
   let instances = 24 and ops_per_instance = 800 in
   for i = 1 to instances do
     let rng = Rng.create (31_000 + i) in
     let width = Rng.int_in rng 1 150 in
     let t = Segtree.create width in
-    let b = Segtree.Boxed.create width in
+    let a = Array.make width 0 in
     for op = 1 to ops_per_instance do
       match Rng.int rng 6 with
       | 0 ->
@@ -152,61 +175,61 @@ let flat_vs_boxed_stream () =
           let hi = lo + Rng.int rng (width - lo + 1) in
           let h = Rng.int_in rng (-5) 9 in
           Segtree.range_add t ~lo ~hi h;
-          Segtree.Boxed.range_add b ~lo ~hi h
+          for x = lo to hi - 1 do
+            a.(x) <- a.(x) + h
+          done
       | 1 ->
           let lo = Rng.int rng width in
           let hi = lo + Rng.int rng (width - lo + 1) in
           let x = Segtree.range_max t ~lo ~hi in
-          let y = Segtree.Boxed.range_max b ~lo ~hi in
+          let y = if lo = hi then 0 else window_max a lo (hi - lo) in
           if x <> y then
-            Alcotest.failf "instance %d op %d: range_max [%d,%d) flat %d <> boxed %d"
+            Alcotest.failf "instance %d op %d: range_max [%d,%d) %d <> scan %d"
               i op lo hi x y
       | 2 ->
           let lo = Rng.int rng width in
           let hi = lo + Rng.int rng (width - lo + 1) in
           let thr = Rng.int_in rng (-10) 20 in
-          let x = Segtree.find_last_above t ~lo ~hi thr in
-          let y = Segtree.Boxed.find_last_above b ~lo ~hi thr in
-          if x <> y then
+          let y = scan_last_above a ~lo ~hi thr in
+          if Segtree.find_last_above t ~lo ~hi thr <> y then
             Alcotest.failf "instance %d op %d: find_last_above differs" i op;
           if Segtree.find_last_above_i t ~lo ~hi thr
-             <> Option.value x ~default:(-1)
+             <> Option.value y ~default:(-1)
           then Alcotest.failf "instance %d op %d: _i sentinel differs" i op
       | 3 ->
           let from = Rng.int rng (width + 1) in
           let len = 1 + Rng.int rng width in
           let height = Rng.int rng 8 in
           let limit = Rng.int_in rng (-5) 25 in
-          let x = Segtree.first_fit_from t ~from ~len ~height ~limit in
-          let y = Segtree.Boxed.first_fit_from b ~from ~len ~height ~limit in
-          if x <> y then
+          let y = scan_first_fit a ~from ~len ~height ~limit in
+          if Segtree.first_fit_from t ~from ~len ~height ~limit <> y then
             Alcotest.failf "instance %d op %d: first_fit_from differs" i op;
           if Segtree.first_fit_from_i t ~from ~len ~height ~limit
-             <> Option.value x ~default:(-1)
+             <> Option.value y ~default:(-1)
           then Alcotest.failf "instance %d op %d: _i sentinel differs" i op
       | 4 ->
           let len = 1 + Rng.int rng (width + 1) in
-          if Segtree.best_start t ~len <> Segtree.Boxed.best_start b ~len then
+          if Segtree.best_start t ~len <> scan_best_start a len then
             Alcotest.failf "instance %d op %d: best_start differs" i op
       | _ ->
-          if Segtree.max_all t <> Segtree.Boxed.max_all b then
+          if Segtree.max_all t <> Array.fold_left max min_int a then
             Alcotest.failf "instance %d op %d: max_all differs" i op
     done;
-    if Segtree.to_array t <> Segtree.Boxed.to_array b then
+    if Segtree.to_array t <> a then
       Alcotest.failf "instance %d: final arrays differ" i
   done
 
-(* ---- add/remove inverses across the three kernels ---- *)
+(* ---- add/remove inverses across the kernel and its oracle ---- *)
 
 (* Range adds commute, so removing a set of placements in any order
-   must return every kernel to its pre-placement state.  Drives the
-   flat kernel, the retained Boxed kernel, the segtree Profile, and
-   the naive reference with the same stream. *)
+   must return every structure to its pre-placement state.  Drives the
+   kernel, the segtree Profile, and the naive reference with the same
+   stream. *)
 let add_remove_inverse () =
   for i = 1 to 20 do
     let rng = Rng.create (51_000 + i) in
     let width = Rng.int_in rng 1 80 in
-    let t = Segtree.create width and b = Segtree.Boxed.create width in
+    let t = Segtree.create width in
     let p = Profile.create width and q = Profile.Naive.create width in
     let n = Rng.int_in rng 1 40 in
     let ops =
@@ -218,7 +241,6 @@ let add_remove_inverse () =
     in
     let apply sign (s, l, h) =
       Segtree.range_add t ~lo:s ~hi:(s + l) (sign * h);
-      Segtree.Boxed.range_add b ~lo:s ~hi:(s + l) (sign * h);
       Profile.add p ~start:s ~len:l ~height:(sign * h);
       Profile.Naive.add q ~start:s ~len:l ~height:(sign * h)
     in
@@ -230,10 +252,6 @@ let add_remove_inverse () =
       (Printf.sprintf "instance %d: flat cancels" i)
       zeros
       (Array.to_list (Segtree.to_array t));
-    Alcotest.(check (list int))
-      (Printf.sprintf "instance %d: boxed cancels" i)
-      zeros
-      (Array.to_list (Segtree.Boxed.to_array b));
     Alcotest.(check (list int))
       (Printf.sprintf "instance %d: profile cancels" i)
       zeros
@@ -291,9 +309,9 @@ let random_adds rng t width n =
 
 (* Nested checkpoints under the LIFO discipline: each rollback must
    restore the exact array state at its checkpoint; a commit keeps the
-   state and, at depth 0, drains the journal.  Cross-checked against
-   Boxed on the query surface after rollback, because rollback goes
-   through the same lazy-add path as forward updates. *)
+   state and, at depth 0, drains the journal.  The query surface is
+   cross-checked against scans of the final array, because rollback
+   goes through the same lazy-add path as forward updates. *)
 let checkpoint_rollback_nested () =
   for i = 1 to 24 do
     let rng = Rng.create (52_000 + i) in
@@ -318,7 +336,7 @@ let checkpoint_rollback_nested () =
       (Array.to_list s0)
       (Array.to_list (snap t));
     (* Commit path: the journalled state survives and queries agree
-       with a Boxed rebuild of the final array. *)
+       with scans of the final array. *)
     let m = Segtree.checkpoint t in
     random_adds rng t width 8;
     let s2 = snap t in
@@ -327,12 +345,11 @@ let checkpoint_rollback_nested () =
       (Printf.sprintf "instance %d: commit keeps state" i)
       (Array.to_list s2)
       (Array.to_list (snap t));
-    let b = Segtree.Boxed.of_array (snap t) in
     Alcotest.(check bool)
       (Printf.sprintf "instance %d: queries agree after journal churn" i)
       true
-      (Segtree.max_all t = Segtree.Boxed.max_all b
-      && Segtree.best_start t ~len:1 = Segtree.Boxed.best_start b ~len:1)
+      (Segtree.max_all t = Array.fold_left max min_int s2
+      && Segtree.best_start t ~len:1 = scan_best_start s2 1)
   done
 
 let checkpoint_discipline () =
@@ -373,9 +390,11 @@ let checkpoint_discipline () =
 
 (* ---- int-boundary and overflow-guard cases ---- *)
 
-(* Both kernels carry the same O(1) root guard: a positive range_add
-   that would push the running maximum past max_int raises
-   Xutil.Overflow and leaves further behaviour to the caller. *)
+(* The kernel's O(1) root guard: a positive range_add that would push
+   the running maximum past max_int raises Xutil.Overflow and leaves
+   further behaviour to the caller.  Profile.Naive checks per column
+   instead, so it is no reference here: the tree must simply come back
+   exactly as it was before the refused add. *)
 let overflow_guard_cases () =
   let huge = max_int - 10 in
   let raises f =
@@ -383,25 +402,22 @@ let overflow_guard_cases () =
     | () -> false
     | exception Dsp_util.Xutil.Overflow -> true
   in
-  let t = Segtree.create 8 and b = Segtree.Boxed.create 8 in
+  let t = Segtree.create 8 in
   Segtree.range_add t ~lo:2 ~hi:6 huge;
-  Segtree.Boxed.range_add b ~lo:2 ~hi:6 huge;
   Alcotest.(check int) "flat carries the near-max value" huge (Segtree.get t 3);
+  let before = Segtree.to_array t in
   Alcotest.(check bool) "flat guard trips" true
     (raises (fun () -> Segtree.range_add t ~lo:0 ~hi:8 100));
-  Alcotest.(check bool) "boxed guard trips" true
-    (raises (fun () -> Segtree.Boxed.range_add b ~lo:0 ~hi:8 100));
   (* A trip must not corrupt the structure: the guard fires before any
      cell is touched. *)
   Alcotest.(check int) "flat intact after trip" huge (Segtree.get t 3);
   Alcotest.(check (list int))
-    "flat still matches boxed after trip"
-    (Array.to_list (Segtree.Boxed.to_array b))
+    "flat equals its pre-trip snapshot"
+    (Array.to_list before)
     (Array.to_list (Segtree.to_array t));
   (* Negative adds cannot raise the maximum, so they pass the guard
      even at the boundary. *)
   Segtree.range_add t ~lo:0 ~hi:8 (-5);
-  Segtree.Boxed.range_add b ~lo:0 ~hi:8 (-5);
   Alcotest.(check int) "negative add applies" (huge - 5) (Segtree.get t 3);
   (* Saturating threshold: limit = max_int with a positive height must
      not wrap into rejecting everything. *)
@@ -451,16 +467,15 @@ let copy_flatten_interleaving () =
   Alcotest.(check (list int))
     "copy sees only its own update" (Array.to_list expect_c)
     (Array.to_list (Segtree.to_array c));
-  Alcotest.(check bool) "best_start agrees with Boxed after the fork" true
-    (let b = Segtree.Boxed.of_array (Segtree.to_array c) in
-     Segtree.best_start c ~len:9 = Segtree.Boxed.best_start b ~len:9)
+  Alcotest.(check bool) "best_start agrees with a scan after the fork" true
+    (Segtree.best_start c ~len:9 = scan_best_start expect_c 9)
 
 let suite =
   [
     Alcotest.test_case "profile ops match naive (24 instances x 1200 ops)" `Quick
       differential_stream;
-    Alcotest.test_case "flat matches Boxed (24 instances x 800 ops)" `Quick
-      flat_vs_boxed_stream;
+    Alcotest.test_case "queries match linear scans (24 instances x 800 ops)"
+      `Quick kernel_vs_scans_stream;
     Alcotest.test_case "add/remove inverses across kernels (20 instances)"
       `Quick add_remove_inverse;
     Alcotest.test_case "item add/remove inverse over a base profile" `Quick
@@ -513,33 +528,15 @@ let suite =
       query_arb
       (fun ((width, ops), (_, len, _, _)) ->
         let t, a = build width ops in
-        let reference =
-          if len > width then None
-          else begin
-            let best = ref (-1) and best_peak = ref max_int in
-            for s = 0 to width - len do
-              let m = window_max a s len in
-              if m < !best_peak then begin
-                best_peak := m;
-                best := s
-              end
-            done;
-            Some (!best, !best_peak)
-          end
-        in
-        Segtree.best_start t ~len = reference);
+        Segtree.best_start t ~len = scan_best_start a len);
     Helpers.qtest ~count:300 "find_last_above matches linear scan" query_arb
       (fun ((width, ops), (from, len, _, limit)) ->
         let t, a = build width ops in
         let lo = min from (width - 1) and hi = min width (from + len) in
         if lo > hi then true
-        else begin
-          let reference = ref None in
-          for x = lo to hi - 1 do
-            if a.(x) > limit then reference := Some x
-          done;
-          Segtree.find_last_above t ~lo ~hi limit = !reference
-        end);
+        else
+          Segtree.find_last_above t ~lo ~hi limit
+          = scan_last_above a ~lo ~hi limit);
     Helpers.qtest ~count:200 "segtree to_array matches accumulated ops" loads_arb
       (fun (width, ops) ->
         let t, a = build width ops in

@@ -1,6 +1,8 @@
 (* dsp_lint golden suite: every rule against its fixture pair under
    tools/lint/fixtures, plus the three suppression channels, the
-   --only selector, and the dune-graph scrape behind the R2 scope.
+   --only selector, the dune-graph scrape behind the R2 scope, and the
+   summary cache.  R1-R5 read fixture sources; R6-R9 read the compiled
+   fixtures' .cmt files through Lint_tast, the production front-end.
    Findings are projected to (rule, basename, line) so the assertions
    pin exact locations without caring about absolute paths. *)
 
@@ -27,12 +29,12 @@ let cfg =
     r5_allow = [];
   }
 
+let project f = (L.rule_name f.L.rule, Filename.basename f.L.file, f.L.line)
+
 let run ?only paths =
   let res = L.run ?only cfg paths in
   Alcotest.(check (list string)) "no parse errors" [] res.L.errors;
-  List.map
-    (fun f -> (L.rule_name f.L.rule, Filename.basename f.L.file, f.L.line))
-    res.L.findings
+  List.map project res.L.findings
 
 let check = Alcotest.(check (list (triple string string int)))
 
@@ -98,9 +100,7 @@ let rule_tests =
     case "R5 honours the absorber allowlist" (fun () ->
         let allowed = { cfg with L.r5_allow = [ "r5_bad.ml" ] } in
         let res = L.run ~only:[ L.R5 ] allowed [ fx "r5_bad.ml" ] in
-        check "allowlisted" [] (List.map (fun f ->
-            (L.rule_name f.L.rule, Filename.basename f.L.file, f.L.line))
-            res.L.findings));
+        check "allowlisted" [] (List.map project res.L.findings));
   ]
 
 let suppression_tests =
@@ -141,7 +141,7 @@ let plumbing_tests =
           (List.mem "lib/augment" dirs));
   ]
 
-(* ----- whole-program rules (R6-R9, parsetree front-end) -------------- *)
+(* ----- whole-program rules (R6-R9, typedtree front-end) -------------- *)
 
 module W = Lint_whole
 
@@ -154,12 +154,27 @@ let wcfg =
     r8_roots = [ "R8_bad.handle"; "R8_good.handle"; "Suppress_whole.handle" ];
   }
 
-let wrun ?only ?cache_dir paths =
-  let res = W.run_files ?only ?cache_dir ~config:wcfg paths in
-  Alcotest.(check (list string)) "no parse errors" [] res.W.errors;
-  List.map
-    (fun f -> (L.rule_name f.L.rule, Filename.basename f.L.file, f.L.line))
-    res.W.findings
+(* tools/lint/fixtures/dune compiles the R6-R9 fixtures as the
+   lint_fixtures library; the rules run on its .cmt typedtrees through
+   the same cache-and-analyze path as the production scan.  The test
+   runs in _build/default/test, so ".." is the build root the
+   fixture sources (for waivers) and artifacts live under. *)
+let fixture_cmt name =
+  Filename.concat fixtures
+    (".lint_fixtures.objs/byte/lint_fixtures__"
+    ^ String.capitalize_ascii name ^ ".cmt")
+
+let wrun_cmts ?only ?cache_dir cmts =
+  let res =
+    W.run_cmts ?only ?cache_dir ~config:wcfg
+      ~src_prefixes:[ "tools/lint/fixtures/" ] ~root:".." cmts
+  in
+  Alcotest.(check int) "every artifact summarised" (List.length cmts)
+    res.W.units;
+  res
+
+let wrun ?only names =
+  List.map project (wrun_cmts ?only (List.map fixture_cmt names)).W.findings
 
 let whole_rule_tests =
   [
@@ -170,22 +185,22 @@ let whole_rule_tests =
             ("R6", "r6_bad.ml", 15);
             ("R6", "r6_bad.ml", 21);
           ]
-          (wrun ~only:[ L.R6 ] [ fx "r6_bad.ml" ]));
+          (wrun ~only:[ L.R6 ] [ "r6_bad" ]));
     case "R6 accepts a consistent order, including under Fun.protect"
-      (fun () -> check "r6_good" [] (wrun ~only:[ L.R6 ] [ fx "r6_good.ml" ]));
+      (fun () -> check "r6_good" [] (wrun ~only:[ L.R6 ] [ "r6_good" ]));
     case "R7 flags a seeded closure and a reachable allocator, not cold code"
       (fun () ->
         check "r7_bad"
           [ ("R7", "r7_bad.ml", 5); ("R7", "r7_bad.ml", 8) ]
-          (wrun ~only:[ L.R7 ] [ fx "r7_bad.ml" ]));
+          (wrun ~only:[ L.R7 ] [ "r7_bad" ]));
     case "R7 certifies an in-place hot path with a cold allocator nearby"
-      (fun () -> check "r7_good" [] (wrun ~only:[ L.R7 ] [ fx "r7_good.ml" ]));
+      (fun () -> check "r7_good" [] (wrun ~only:[ L.R7 ] [ "r7_good" ]));
     case "R8 flags mutate-before-append and append-before-validate" (fun () ->
         check "r8_bad"
           [ ("R8", "r8_bad.ml", 8); ("R8", "r8_bad.ml", 9) ]
-          (wrun ~only:[ L.R8 ] [ fx "r8_bad.ml" ]));
+          (wrun ~only:[ L.R8 ] [ "r8_bad" ]));
     case "R8 accepts validate-append-mutate through a helper" (fun () ->
-        check "r8_good" [] (wrun ~only:[ L.R8 ] [ fx "r8_good.ml" ]));
+        check "r8_good" [] (wrun ~only:[ L.R8 ] [ "r8_good" ]));
     case "R9 flags IO under lock: direct, via helper, via locked closure"
       (fun () ->
         check "r9_bad"
@@ -194,45 +209,66 @@ let whole_rule_tests =
             ("R9", "r9_bad.ml", 14);
             ("R9", "r9_bad.ml", 23);
           ]
-          (wrun ~only:[ L.R9 ] [ fx "r9_bad.ml" ]));
+          (wrun ~only:[ L.R9 ] [ "r9_bad" ]));
     case "R9 accepts IO outside the section and Condition.wait" (fun () ->
-        check "r9_good" [] (wrun ~only:[ L.R9 ] [ fx "r9_good.ml" ]));
+        check "r9_good" [] (wrun ~only:[ L.R9 ] [ "r9_good" ]));
     case "line waivers silence R6-R9 findings" (fun () ->
+        (* One real violation per rule before the waivers apply... *)
+        let raw =
+          match Lint_tast.summarize_cmt (fixture_cmt "suppress_whole") with
+          | Error e -> Alcotest.fail e
+          | Ok s -> W.analyze ~config:wcfg [ s ]
+        in
+        check "suppress_whole unwaived"
+          [
+            ("R6", "suppress_whole.ml", 10);
+            ("R6", "suppress_whole.ml", 17);
+            ("R7", "suppress_whole.ml", 23);
+            ("R8", "suppress_whole.ml", 30);
+            ("R9", "suppress_whole.ml", 35);
+          ]
+          (List.sort compare (List.map project raw));
+        (* ...and none after. *)
         check "suppress_whole" []
-          (wrun
-             ~only:[ L.R6; L.R7; L.R8; L.R9 ]
-             [ fx "suppress_whole.ml" ]));
+          (wrun ~only:[ L.R6; L.R7; L.R8; L.R9 ] [ "suppress_whole" ]));
   ]
 
 let cache_tests =
-  let write path text =
-    let oc = open_out_bin path in
-    output_string oc text;
-    close_out oc
+  let copy ~src ~dst =
+    let bytes = In_channel.with_open_bin src In_channel.input_all in
+    Out_channel.with_open_bin dst (fun oc -> output_string oc bytes)
+  in
+  let rec rm_rf path =
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
   in
   [
     case "summary cache: warm reruns hit, an edit re-analyzes one unit"
       (fun () ->
-        let dir = "lint_cache_scratch" in
-        (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-        let cache_dir = Filename.concat dir "cache" in
-        let names = [ "r6_good.ml"; "r9_good.ml" ] in
-        List.iter
-          (fun n -> write (Filename.concat dir n) (L.read_file (fx n)))
-          names;
-        let paths = List.map (Filename.concat dir) names in
-        let counts () =
-          let r = W.run_files ~cache_dir ~config:wcfg paths in
-          Alcotest.(check (list string)) "no parse errors" [] r.W.errors;
-          (r.W.analyzed, r.W.cached)
-        in
-        let pair = Alcotest.(pair int int) in
-        Alcotest.check pair "cold run analyzes both" (2, 0) (counts ());
-        Alcotest.check pair "warm run hits both" (0, 2) (counts ());
-        write
-          (Filename.concat dir "r9_good.ml")
-          (L.read_file (fx "r9_good.ml") ^ "\nlet touched = ()\n");
-        Alcotest.check pair "edit re-analyzes exactly one" (1, 1) (counts ()));
+        let dir = Filename.temp_dir "lint_cache" "" in
+        Fun.protect
+          ~finally:(fun () -> rm_rf dir)
+          (fun () ->
+            let cache_dir = Filename.concat dir "cache" in
+            let local name = Filename.concat dir (name ^ ".cmt") in
+            let names = [ "r6_good"; "r9_good" ] in
+            List.iter
+              (fun n -> copy ~src:(fixture_cmt n) ~dst:(local n))
+              names;
+            let counts () =
+              let r = wrun_cmts ~cache_dir (List.map local names) in
+              (r.W.analyzed, r.W.cached)
+            in
+            let pair = Alcotest.(pair int int) in
+            Alcotest.check pair "cold run analyzes both" (2, 0) (counts ());
+            Alcotest.check pair "warm run hits both" (0, 2) (counts ());
+            (* New bytes under the same path: only that unit misses. *)
+            copy ~src:(fixture_cmt "r7_good") ~dst:(local "r9_good");
+            Alcotest.check pair "edit re-analyzes exactly one" (1, 1)
+              (counts ())));
   ]
 
 let suite =

@@ -124,6 +124,15 @@ let segtree_tests =
         Profile.Naive.add n ~start:0 ~len:4 ~height:max_int;
         Alcotest.check_raises "naive overflow" Dsp_util.Rat.Overflow
           (fun () -> Profile.Naive.add n ~start:1 ~len:2 ~height:1);
+        (* ... and refuses atomically: an overflow on a later column
+           leaves the earlier ones untouched. *)
+        let n = Profile.Naive.create 2 in
+        Profile.Naive.add n ~start:1 ~len:1 ~height:max_int;
+        Alcotest.check_raises "naive overflow on column 1" Dsp_util.Rat.Overflow
+          (fun () -> Profile.Naive.add n ~start:0 ~len:2 ~height:1);
+        Alcotest.(check (list int))
+          "naive add not half-applied" [ 0; max_int ]
+          (Array.to_list (Profile.Naive.to_array n));
         (* A large negative add keeps working: only the max can
            overflow upward. *)
         Profile.add p ~start:0 ~len:4 ~height:(-max_int);

@@ -256,10 +256,8 @@ let project_config ~root =
         ( "lib/core/segtree.ml",
           Only
             [
-              (* boxed kernel *)
-              "add_rec";
+              (* the kernel's hot paths *)
               "range_add";
-              (* flat kernel hot paths (range_add is shared by name) *)
               "apply_add";
               "apply_range";
               "pull";

@@ -4,7 +4,7 @@
    proves it statically over every path the call graph can see.
 
    What counts as an allocation:
-   - structural [Alloc] events from the front-ends: closures, tuples,
+   - structural [Alloc] events from the front-end: closures, tuples,
      non-constant constructors (Some, ::, payload-carrying raise),
      records, boxed float literals, array literals;
    - closure-literal arguments (the closure is built at the call);

@@ -14,7 +14,7 @@
 open Typedtree
 module Ir = Lint_ir
 
-let pos_of_loc = Ir.pos_of_loc ?file:None
+let pos_of_loc = Ir.pos_of_loc
 
 let path_components p = Ir.normalize_path_name (Path.name p)
 

@@ -1,15 +1,16 @@
 (* Whole-program analysis driver for R6–R9: loads per-module event
-   summaries (typedtree .cmt artifacts in production, parsetree
-   fixtures in tests), caches them per content digest, builds the
-   cross-module call graph and runs the four rules, then applies the
-   same waiver channels the per-file rules honour.
+   summaries from the compiler's .cmt typedtrees (via [Lint_tast]),
+   caches them per content digest, builds the cross-module call graph
+   and runs the four rules, then applies the same waiver channels the
+   per-file rules honour.  Production and the golden fixtures take the
+   same path: [run_project] over the tree's artifacts, [run_cmts] over
+   an explicit artifact list.
 
    The cache makes warm reruns cheap: a summary is recomputed only
-   when its .cmt (or fixture source) digest changed, so an edit to one
-   module re-analyzes one module.  Rule evaluation itself always runs
-   — it is interprocedural, so any summary change can change any
-   finding — but it is linear in the summary sizes and costs
-   milliseconds. *)
+   when its .cmt digest changed, so an edit to one module re-analyzes
+   one module.  Rule evaluation itself always runs — it is
+   interprocedural, so any summary change can change any finding —
+   but it is linear in the summary sizes and costs milliseconds. *)
 
 module Ir = Lint_ir
 
@@ -45,7 +46,7 @@ type result = {
 
 (* ----- summary cache --------------------------------------------------- *)
 
-(* Bump when the IR or a front-end changes shape: stale caches must
+(* Bump when the IR or the front-end changes shape: stale caches must
    miss, not misparse. *)
 let cache_version = 1
 
@@ -150,59 +151,13 @@ let dedup_sorted findings =
   in
   uniq sorted
 
-(* ----- fixture entry point (parsetree front-end) ----------------------- *)
+(* ----- entry points ---------------------------------------------------- *)
 
-let run_files ?only ?cache_dir ~config paths =
-  let analyzed = ref 0 and cached = ref 0 and errors = ref [] in
-  let summaries =
-    List.filter_map
-      (fun path ->
-        match Lint_core.read_file path with
-        | exception Sys_error e ->
-            errors := Printf.sprintf "%s: %s" path e :: !errors;
-            None
-        | text -> (
-            let digest = Digest.string text in
-            match cache_get ~cache_dir ~key:path ~digest with
-            | Some s ->
-                incr cached;
-                Some s
-            | None -> (
-                let lexbuf = Lexing.from_string text in
-                Location.init lexbuf path;
-                match Parse.implementation lexbuf with
-                | exception e ->
-                    errors :=
-                      Printf.sprintf "%s: parse error: %s" path
-                        (Printexc.to_string e)
-                      :: !errors;
-                    None
-                | structure ->
-                    let s =
-                      Ir.Of_parsetree.of_structure ~file:path structure
-                    in
-                    incr analyzed;
-                    cache_put ~cache_dir ~key:path ~digest s;
-                    Some s)))
-      (List.sort_uniq compare paths)
-  in
-  let findings =
-    analyze ?only ~config summaries |> apply_waivers ~root:"." |> dedup_sorted
-  in
-  {
-    findings;
-    errors = List.rev !errors;
-    units = List.length summaries;
-    analyzed = !analyzed;
-    cached = !cached;
-  }
-
-(* ----- production entry point (typedtree front-end) -------------------- *)
-
-let src_prefixes = [ "lib/"; "bin/"; "bench/" ]
-
-let run_project ?only ?cache_dir ~root () =
-  let analyzed = ref 0 and cached = ref 0 and errors = ref [] in
+(* Summarise [cmts] through the digest cache, keep one summary per
+   unit whose source file sits under [src_prefixes], and run the
+   rules.  Waivers are read from the sources relative to [root]. *)
+let run_cmts ?only ?cache_dir ~config ~src_prefixes ~root cmts =
+  let analyzed = ref 0 and cached = ref 0 in
   let seen_units = Hashtbl.create 64 in
   let summaries =
     List.filter_map
@@ -234,23 +189,36 @@ let run_project ?only ?cache_dir ~root () =
                   Some s
                 end
                 else None))
-      (Lint_tast.discover_cmts ~root)
+      cmts
   in
-  if summaries = [] then
-    errors :=
-      Printf.sprintf
-        "no .cmt artifacts found under %s — run `dune build` first so the \
-         whole-program rules have typedtrees to analyze"
-        root
-      :: !errors;
   let findings =
-    analyze ?only ~config:project_config summaries
-    |> apply_waivers ~root |> dedup_sorted
+    analyze ?only ~config summaries |> apply_waivers ~root |> dedup_sorted
   in
   {
     findings;
-    errors = List.rev !errors;
+    errors = [];
     units = List.length summaries;
     analyzed = !analyzed;
     cached = !cached;
   }
+
+(* The production scan: every artifact under [root] whose source lives
+   in lib/, bin/ or bench/. *)
+let run_project ?only ?cache_dir ~root () =
+  let r =
+    run_cmts ?only ?cache_dir ~config:project_config
+      ~src_prefixes:[ "lib/"; "bin/"; "bench/" ] ~root
+      (Lint_tast.discover_cmts ~root)
+  in
+  if r.units > 0 then r
+  else
+    {
+      r with
+      errors =
+        [
+          Printf.sprintf
+            "no .cmt artifacts found under %s — run `dune build` first so \
+             the whole-program rules have typedtrees to analyze"
+            root;
+        ];
+    }
