@@ -17,7 +17,10 @@
    [range_max], [first_fit_from_i], [find_last_above_i] — allocate
    nothing: no closures, no tuples, no exceptions, no boxed returns.
    The [kernel] bench experiment measures this invariant
-   (words-per-op) and scripts/perf_gate.sh gates on it.
+   (words-per-op) and scripts/perf_gate.sh gates on it.  The
+   [best_start] deque scan, every best-fit placement's O(n) inner
+   loop, reads and writes its two plain arrays without bounds checks;
+   its comment states why each index stays in [0, n).
 
    Element kind: the cells are an untagged native-[int] Bigarray
    ([Bigarray.int], 63-bit payload), not boxed [int64]: without
@@ -593,7 +596,12 @@ let of_array arr =
    deque compares against the [t.flat] copy rather than the leaf
    cells directly: a Bigarray element read is two dependent loads
    (header, then data), so one sequential copy pass plus plain-array
-   comparisons beats re-reading leaves inside the loop (measured). *)
+   comparisons beats re-reading leaves inside the loop (measured).
+   Reads and writes skip the bounds check: [flat] and [deque] both
+   have length n, every [loads] index is a column (x, or a deque
+   entry, which is some earlier x) in [0, n), and every [dq] index is
+   a slot in [head, tail) or [tail] itself, with
+   0 <= head < tail <= x + 1 <= n after the push. *)
 let best_start t ~len =
   Dsp_util.Instr.bump c_best_start;
   if len < 1 || len > t.n then None
@@ -604,17 +612,21 @@ let best_start t ~len =
     let head = ref 0 and tail = ref 0 in
     let best_s = ref 0 and best_peak = ref max_int in
     for x = 0 to n - 1 do
-      while !tail > !head && loads.(dq.(!tail - 1)) <= loads.(x) do
+      let lx = Array.unsafe_get loads x in
+      while
+        !tail > !head
+        && Array.unsafe_get loads (Array.unsafe_get dq (!tail - 1)) <= lx
+      do
         tail := !tail - 1
       done;
-      dq.(!tail) <- x;
+      Array.unsafe_set dq !tail x;
       tail := !tail + 1;
       let s = x + 1 - len in (* lint: ok R1 — window index < n *)
       if s >= 0 then begin
-        while dq.(!head) < s do
+        while Array.unsafe_get dq !head < s do
           head := !head + 1
         done;
-        let wmax = loads.(dq.(!head)) in
+        let wmax = Array.unsafe_get loads (Array.unsafe_get dq !head) in
         if wmax < !best_peak then begin
           best_peak := wmax;
           best_s := s

@@ -39,18 +39,27 @@ let attempt ?(eps = Rat.make 1 4) ?budget (inst : Instance.t) ~target =
     in
     let b_main = min b_total (target + floor_frac eps target) in
     let b_band = b_total in
-    let configurations_used = ref 0 and lp_fallbacks = ref 0 in
+    let lp_fallbacks = ref 0 in
+    let capped ~cutoff b = min b (cutoff - 1) in
     let backbone =
       cls.Classify.large @ cls.Classify.medium_vertical @ cls.Classify.tall
     in
     (* The non-backbone stages: vertical items via the configuration
        LP (Lemma 10) with greedy fallback and overflow into the band,
        then horizontal leveling, then small items into gaps and medium
-       items on top (Step 6). *)
-    let rest_stages st =
+       items on top (Step 6).  Returns the packing with its count of
+       non-zero LP variables.  With a [cutoff], every budget is capped
+       at [cutoff - 1] and the stages fail once the LP placements
+       reach [cutoff]: best-fit choices do not depend on the budget,
+       so this returns exactly the uncapped result when its height is
+       below [cutoff], and [None] otherwise.  The LP still sees the
+       boxes under [b_band]. *)
+    let rest_stages ?(cutoff = max_int) st =
       let place_class items ~budget ~order =
-        Budget_fit.place_all_best_fit st items ~budget ~order
+        Budget_fit.place_all_best_fit st items ~budget:(capped ~cutoff budget)
+          ~order
       in
+      let configurations_used = ref 0 in
       let ok =
         begin
           let boxes = Budget_fit.free_boxes st ~cap:b_band in
@@ -61,9 +70,10 @@ let attempt ?(eps = Rat.make 1 4) ?budget (inst : Instance.t) ~target =
               List.iter
                 (fun { Config_fill.item; start } -> Budget_fit.place st item ~start)
                 r.Config_fill.placements;
-              List.for_all
-                (fun it -> Budget_fit.best_fit st it ~budget:b_band)
-                (List.sort Item.compare_by_height_desc r.Config_fill.overflow)
+              Budget_fit.peak st < cutoff
+              && List.for_all
+                   (fun it -> Budget_fit.best_fit st it ~budget:(capped ~cutoff b_band))
+                   (List.sort Item.compare_by_height_desc r.Config_fill.overflow)
           | None ->
               incr lp_fallbacks;
               place_class vertical ~budget:b_band ~order:Item.compare_by_height_desc
@@ -75,16 +85,17 @@ let attempt ?(eps = Rat.make 1 4) ?budget (inst : Instance.t) ~target =
         && place_class cls.Classify.medium ~budget:b_total
              ~order:Item.compare_by_height_desc
       in
-      if ok then Some (Budget_fit.to_packing st) else None
+      if ok then Some (Budget_fit.to_packing st, !configurations_used) else None
     in
     (* Greedy pass: best-fit the backbone in a fixed order, then run
-       the remaining stages. *)
-    let run_pass backbone_order =
+       the remaining stages, all under the same [cutoff]. *)
+    let run_pass ~cutoff backbone_order =
       let st = Budget_fit.create rounded in
       if
-        Budget_fit.place_all_best_fit st backbone ~budget:b_main
+        Budget_fit.place_all_best_fit st backbone
+          ~budget:(capped ~cutoff b_main)
           ~order:backbone_order
-      then rest_stages st
+      then rest_stages ~cutoff st
       else None
     in
     (* Step 4 proper: enumerate backbone placements (the practical
@@ -102,10 +113,10 @@ let attempt ?(eps = Rat.make 1 4) ?budget (inst : Instance.t) ~target =
         let width = rounded.Instance.width in
         let nodes = ref 0 and leaves = ref 0 in
         let best = ref None in
-        let record pk =
+        let record ((pk, _) as r) =
           match !best with
-          | Some b when Packing.height b <= Packing.height pk -> ()
-          | _ -> best := Some pk
+          | Some (b, _) when Packing.height b <= Packing.height pk -> ()
+          | _ -> best := Some r
         in
         let exception Stop in
         let rec go prev items =
@@ -118,8 +129,8 @@ let attempt ?(eps = Rat.make 1 4) ?budget (inst : Instance.t) ~target =
           | [] ->
               incr leaves;
               (match rest_stages (Budget_fit.copy st) with
-              | Some pk ->
-                  record pk;
+              | Some ((pk, _) as r) ->
+                  record r;
                   if Packing.height pk <= target then raise Stop
               | None -> ());
               if !leaves > 200 then raise Stop
@@ -157,32 +168,34 @@ let attempt ?(eps = Rat.make 1 4) ?budget (inst : Instance.t) ~target =
         Item.compare_by_width_desc;
       ]
     in
-    let best_of passes =
+    (* The orders run in sequence, each capped by the best height so
+       far: a later pass replaces the incumbent only when strictly
+       lower, which is what the cap admits. *)
+    let greedy_best =
       List.fold_left
-        (fun acc pass ->
-          match (acc, pass ()) with
-          | None, r -> r
-          | r, None -> r
-          | Some a, Some b -> if Packing.height a <= Packing.height b then Some a else Some b)
-        None passes
+        (fun best order ->
+          let cutoff =
+            match best with Some (pk, _) -> Packing.height pk | None -> max_int
+          in
+          match run_pass ~cutoff order with None -> best | r -> r)
+        None orders
     in
-    let greedy_passes = List.map (fun o () -> run_pass o) orders in
     let result =
-      match best_of greedy_passes with
-      | Some pk when Packing.height pk <= target -> Some pk
-      | greedy_best -> (
+      match greedy_best with
+      | Some (pk, _) when Packing.height pk <= target -> greedy_best
+      | _ -> (
           (* Greedy did not reach the guessed optimum: spend the
              enumeration budget of Step 4. *)
-          match best_of [ exact_backbone_pass ] with
+          match exact_backbone_pass () with
           | None -> greedy_best
-          | Some pk -> (
+          | Some (pk, _) as exact -> (
               match greedy_best with
-              | Some g when Packing.height g <= Packing.height pk -> Some g
-              | _ -> Some pk))
+              | Some (g, _) when Packing.height g <= Packing.height pk -> greedy_best
+              | _ -> exact))
     in
     match result with
     | None -> None
-    | Some rounded_pk ->
+    | Some (rounded_pk, configurations_used) ->
         let pk = Rounding.restore rounding rounded_pk in
         let stats =
           {
@@ -191,7 +204,7 @@ let attempt ?(eps = Rat.make 1 4) ?budget (inst : Instance.t) ~target =
             delta = params.Classify.delta;
             mu = params.Classify.mu;
             class_sizes = Classify.class_sizes cls;
-            configurations_used = !configurations_used;
+            configurations_used;
             lp_fallbacks = !lp_fallbacks;
           }
         in

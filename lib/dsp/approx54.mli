@@ -37,8 +37,11 @@ type stats = {
   delta : Rat.t;
   mu : Rat.t;
   class_sizes : (string * int) list;
-  configurations_used : int;  (** non-zero configuration-LP variables *)
-  lp_fallbacks : int;  (** vertical fillings that fell back to greedy *)
+  configurations_used : int;
+      (** non-zero configuration-LP variables of the returned packing *)
+  lp_fallbacks : int;
+      (** vertical fillings that fell back to greedy, summed over every
+          pass and enumeration leaf the round ran *)
 }
 
 val attempt :

@@ -13,29 +13,43 @@ type classes = {
   medium : Item.t list;
 }
 
-(* h > delta * target, etc.: exact rational comparisons against the
-   integer dimensions. *)
-let gt_frac value frac scale = Rat.(of_int value > mul frac (of_int scale))
-let ge_frac value frac scale = Rat.(of_int value >= mul frac (of_int scale))
-let le_frac value frac scale = Rat.(of_int value <= mul frac (of_int scale))
-let lt_frac value frac scale = Rat.(of_int value < mul frac (of_int scale))
-
 let tall_threshold eps = Rat.(add (make 1 4) eps)
 
-let category (p : params) (inst : Instance.t) (it : Item.t) =
-  let w = it.Item.w and h = it.Item.h in
+(* The class boundaries as integer cuts.  Item dimensions are
+   integers, so against a rational x: v > x iff v > floor x, v >= x
+   iff v >= ceil x, v <= x iff v <= floor x and v < x iff v < ceil x.
+   Each boundary is used on one side only, so one cut per boundary
+   suffices and every item costs only integer comparisons. *)
+type cuts = {
+  tall_h : int; (* ceil ((1/4 + eps) * H') *)
+  delta_h : int; (* floor (delta * H') *)
+  eps_h : int; (* ceil (eps * H') *)
+  mu_h : int; (* floor (mu * H') *)
+  delta_w : int; (* ceil (delta * W) *)
+  mu_w : int; (* floor (mu * W) *)
+}
+
+let cuts (p : params) (inst : Instance.t) =
+  let frac f scale = Rat.mul f (Rat.of_int scale) in
   let tgt = p.target and width = inst.Instance.width in
-  let thr = tall_threshold p.eps in
-  if ge_frac h thr tgt && lt_frac w p.delta width then `Tall
-  else if gt_frac h p.delta tgt && ge_frac w p.delta width then `Large
-  else if gt_frac h p.delta tgt && lt_frac h thr tgt && le_frac w p.mu width then
-    `Vertical
-  else if
-    ge_frac h p.eps tgt && lt_frac h thr tgt
-    && gt_frac w p.mu width && lt_frac w p.delta width
-  then `Medium_vertical
-  else if le_frac h p.mu tgt && ge_frac w p.delta width then `Horizontal
-  else if le_frac h p.mu tgt && le_frac w p.mu width then `Small
+  {
+    tall_h = Rat.ceil (frac (tall_threshold p.eps) tgt);
+    delta_h = Rat.floor (frac p.delta tgt);
+    eps_h = Rat.ceil (frac p.eps tgt);
+    mu_h = Rat.floor (frac p.mu tgt);
+    delta_w = Rat.ceil (frac p.delta width);
+    mu_w = Rat.floor (frac p.mu width);
+  }
+
+let category c (it : Item.t) =
+  let w = it.Item.w and h = it.Item.h in
+  if h >= c.tall_h && w < c.delta_w then `Tall
+  else if h > c.delta_h && w >= c.delta_w then `Large
+  else if h > c.delta_h && h < c.tall_h && w <= c.mu_w then `Vertical
+  else if h >= c.eps_h && h < c.tall_h && w > c.mu_w && w < c.delta_w then
+    `Medium_vertical
+  else if h <= c.mu_h && w >= c.delta_w then `Horizontal
+  else if h <= c.mu_h && w <= c.mu_w then `Small
   else `Medium
 
 let classify inst p =
@@ -60,8 +74,9 @@ let classify inst p =
       medium = [];
     }
   in
+  let c = cuts p inst in
   Array.fold_left
-    (fun acc it -> push (category p inst it) it acc)
+    (fun acc it -> push (category c it) it acc)
     empty inst.Instance.items
 
 let medium_area inst p =

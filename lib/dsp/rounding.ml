@@ -3,23 +3,38 @@ module Rat = Dsp_util.Rat
 
 type t = { original : Instance.t; rounded : Instance.t }
 
+(* The Lemma 3 scales of one guess as integer cuts: entry ℓ-1 holds
+   (ceil (eps^ℓ · H'), max 1 (floor (eps^(ℓ+1) · H'))), the cut an
+   integer height must reach to sit at scale ℓ and that scale's grid.
+   The table stops at the first cut of at most 1, which every height
+   reaches, or at scale 63, which takes every height left. *)
+let scale_table (p : Classify.params) =
+  let eps = p.Classify.eps in
+  let rec go level bound acc =
+    let bound = Rat.mul bound eps in
+    let cut = Rat.ceil bound in
+    let acc = (cut, max 1 (Rat.floor (Rat.mul bound eps))) :: acc in
+    if cut <= 1 || level > 62 then Array.of_list (List.rev acc)
+    else go (level + 1) bound acc
+  in
+  go 1 (Rat.of_int p.Classify.target) []
+
 let round_heights (inst : Instance.t) (p : Classify.params) =
-  let tgt = Rat.of_int p.Classify.target in
-  let threshold = Rat.mul p.Classify.delta tgt in
+  let threshold = Rat.floor (Rat.mul p.Classify.delta (Rat.of_int p.Classify.target)) in
+  let scales = scale_table p in
+  let last = Array.length scales - 1 in
   let round_item (it : Item.t) =
-    if Rat.(of_int it.Item.h <= threshold) then it
+    let h = it.Item.h in
+    if h <= threshold then it
     else begin
       (* Scale ℓ: smallest ℓ >= 1 with h >= eps^ℓ · H'; the grid for
          that scale is eps^(ℓ+1) · H'. *)
-      let rec find_scale level bound =
-        let bound = Rat.mul bound p.Classify.eps in
-        if Rat.(of_int it.Item.h >= bound) || level > 62 then (level, bound)
-        else find_scale (level + 1) bound
+      let rec grid l =
+        let cut, g = scales.(l) in
+        if h >= cut || l = last then g else grid (l + 1)
       in
-      let _, scale_bound = find_scale 1 tgt in
-      let grid_rat = Rat.mul scale_bound p.Classify.eps in
-      let grid = max 1 (Rat.floor grid_rat) in
-      { it with Item.h = Dsp_util.Xutil.ceil_div it.Item.h grid * grid }
+      let grid = grid 0 in
+      { it with Item.h = Dsp_util.Xutil.ceil_div h grid * grid }
     end
   in
   { original = inst; rounded = Instance.map_items round_item inst }

@@ -10,15 +10,16 @@ let add_check = Xutil.checked_add
 
 let make n d =
   if d = 0 then raise Division_by_zero
-  else
-    let s = if d < 0 then -1 else 1 in
+  else begin
     (* [min_int] has no native negation: a sign flip would wrap, and
        normalization's gcd walk turns its negative remainders into a
-       negative divisor.  Reject the boundary value outright. *)
+       negative divisor.  Reject the boundary value outright; past
+       this test both flips below are exact. *)
     if n = min_int || d = min_int then raise Overflow;
-    let n = mul_check s n and d = mul_check s d in
+    let n = if d < 0 then -n else n and d = abs d in
     let g = gcd (abs n) d in
-    if g = 0 then { n = 0; d = 1 } else { n = n / g; d = d / g }
+    { n = n / g; d = d / g }
+  end
 
 let of_int n = { n; d = 1 }
 let zero = of_int 0
@@ -27,23 +28,44 @@ let minus_one = of_int (-1)
 let num t = t.n
 let den t = t.d
 
+(* A result numerator of [min_int] is rejected, as [make] would. *)
+let of_num n = if n = min_int then raise Overflow else { n; d = 1 }
+
+(* Knuth's addition (TAOCP 4.5.1): with g = gcd(a.d, b.d), the
+   numerator t = a.n*(b.d/g) + b.n*(a.d/g) is coprime to both a.d/g
+   and b.d/g (each operand is in lowest terms), so the sum reduces by
+   gcd(t, g) alone.  [Overflow] is raised when a cross product, t or
+   the unreduced denominator a.d*b.d/g leaves the int range, or when
+   t is [min_int]. *)
 let add a b =
-  let g = gcd a.d b.d in
-  let da = a.d / g and db = b.d / g in
-  (* a.n/(da*g) + b.n/(db*g) = (a.n*db + b.n*da) / (da*db*g) *)
-  let n = add_check (mul_check a.n db) (mul_check b.n da) in
-  make n (mul_check (mul_check da db) g)
+  if a.d = 1 && b.d = 1 then of_num (add_check a.n b.n)
+  else
+    let g = gcd a.d b.d in
+    let da = a.d / g and db = b.d / g in
+    let t = add_check (mul_check a.n db) (mul_check b.n da) in
+    let d = mul_check (mul_check da db) g in
+    if t = min_int then raise Overflow
+    else if t = 0 then zero
+    else
+      let g = gcd (abs t) g in
+      { n = t / g; d = d / g }
 
 let neg a = if a.n = min_int then raise Overflow else { a with n = -a.n }
 let sub a b = add a (neg b)
 
 let mul a b =
-  (* Cross-reduce before multiplying to keep intermediates small. *)
-  let g1 = gcd (abs a.n) b.d and g2 = gcd (abs b.n) a.d in
-  let g1 = if g1 = 0 then 1 else g1 and g2 = if g2 = 0 then 1 else g2 in
-  let n = mul_check (a.n / g1) (b.n / g2) in
-  let d = mul_check (a.d / g2) (b.d / g1) in
-  make n d
+  if a.d = 1 && b.d = 1 then of_num (mul_check a.n b.n)
+  else if a.n = 0 || b.n = 0 then zero
+  else
+    (* Cross-reduce before multiplying to keep intermediates small.
+       The reduced factors are pairwise coprime, so the product is
+       already in lowest terms.  A [min_int] operand can make a gcd
+       negative, and so the denominator; that case, like a [min_int]
+       numerator, goes through [make]. *)
+    let g1 = gcd (abs a.n) b.d and g2 = gcd (abs b.n) a.d in
+    let n = mul_check (a.n / g1) (b.n / g2) in
+    let d = mul_check (a.d / g2) (b.d / g1) in
+    if d > 0 && n <> min_int then { n; d } else make n d
 
 let inv a = if a.n = 0 then raise Division_by_zero else make a.d a.n
 let div a b = mul a (inv b)

@@ -5,7 +5,12 @@
     quantities appearing in the experiments (item dimensions, strip
     widths, LP coefficients) are small integers, so 63-bit numerators
     and denominators are ample.  Any overflow raises {!Overflow} rather
-    than silently wrapping. *)
+    than silently wrapping.
+
+    [add] and [mul] of two integers skip normalisation, [add] reduces
+    by one small gcd (Knuth) and [mul] cross-reduces so its product
+    needs none.  A result whose numerator would be [min_int] raises
+    {!Overflow}, as in {!make}. *)
 
 type t
 (** A rational number, always kept in lowest terms with a positive

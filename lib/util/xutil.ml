@@ -1,23 +1,28 @@
 exception Overflow
 
 let checked_add a b =
-  let s = a + b in
+  let s = a + b in (* lint: ok R1 — a wrap is caught by the sign test below *)
   (* Overflow iff both operands share a sign that the sum lost. *)
   if (a >= 0 && b >= 0 && s < 0) || (a < 0 && b < 0 && s >= 0) then
     raise Overflow
   else s
 
+(* Both operands in [-2^30, 2^30): the product's magnitude is at most
+   2^60, inside the 63-bit range, so the division test is skipped. *)
+let small x = x >= -0x4000_0000 && x < 0x4000_0000
+
 let checked_mul a b =
-  if a = 0 || b = 0 then 0
+  if small a && small b then a * b (* lint: ok R1 — |a * b| <= 2^60 *)
+  else if a = 0 || b = 0 then 0
   else
-    let p = a * b in
+    let p = a * b in (* lint: ok R1 — a wrap is caught by the division test *)
     if p / b <> a then raise Overflow else p
 
 (* Saturating subtraction: thresholds like [limit - height] (limit may
    be max_int) must not wrap; clamping to the representable range keeps
    every downstream comparison conservative. *)
 let sat_sub a b =
-  let d = a - b in
+  let d = a - b in (* lint: ok R1 — a wrap is caught and clamped below *)
   if a >= 0 && b < 0 && d < 0 then max_int
   else if a < 0 && b >= 0 && d >= 0 then min_int
   else d

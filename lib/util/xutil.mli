@@ -10,7 +10,8 @@ val checked_add : int -> int -> int
 
 val checked_mul : int -> int -> int
 (** Native-int multiplication that raises {!Overflow} instead of
-    wrapping. *)
+    wrapping.  Operands both in [[-2^30, 2^30)] cannot overflow and
+    skip the division test. *)
 
 val sum_by : ('a -> int) -> 'a list -> int
 (** Integer sum of [f] over a list. *)

@@ -51,3 +51,24 @@ let check_schedule_valid name sched =
   match Pts.Schedule.validate sched with
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: invalid schedule: %s" name e
+
+(* Integers around the native-arithmetic boundaries: ±2^30 (the edge
+   of Xutil.checked_mul's division-free path), ±2^31 (whose products
+   reach ±2^62), ±2^61, max_int and min_int, each with small offsets,
+   mixed with draws from [-2^32, 2^32] and the full range. *)
+let boundary_int_gen =
+  let open QCheck.Gen in
+  let bases = [ 1 lsl 30; 1 lsl 31; 1 lsl 61; max_int ] in
+  let near =
+    let* b = oneofl bases and* off = int_range 0 3 and* neg = bool in
+    (* step inwards from max_int so the offset cannot wrap *)
+    let v = if b = max_int then b - off else b + off - 1 in
+    return (if neg then -v else v)
+  in
+  frequency
+    [
+      (6, near);
+      (1, oneofl [ 0; 1; -1; min_int; min_int + 1 ]);
+      (2, int_range (-(1 lsl 32)) (1 lsl 32));
+      (1, int);
+    ]

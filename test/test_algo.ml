@@ -33,6 +33,113 @@ let classify_tests =
         Alcotest.check Alcotest.int "tall" 1 (List.length cls.Dsp_algo.Classify.tall));
   ]
 
+(* Classification and rounding as they stood before the integer cuts:
+   every item compared against exact rational products, and every
+   rounded item re-walking the geometric scales with Rat.mul. *)
+module Before = struct
+  module C = Dsp_algo.Classify
+
+  let gt v frac scale = Rat.(of_int v > mul frac (of_int scale))
+  let ge v frac scale = Rat.(of_int v >= mul frac (of_int scale))
+  let le v frac scale = Rat.(of_int v <= mul frac (of_int scale))
+  let lt v frac scale = Rat.(of_int v < mul frac (of_int scale))
+
+  let category (p : C.params) width (it : Item.t) =
+    let w = it.Item.w and h = it.Item.h and tgt = p.C.target in
+    let thr = Rat.(add (make 1 4) p.C.eps) in
+    if ge h thr tgt && lt w p.C.delta width then `Tall
+    else if gt h p.C.delta tgt && ge w p.C.delta width then `Large
+    else if gt h p.C.delta tgt && lt h thr tgt && le w p.C.mu width then `Vertical
+    else if
+      ge h p.C.eps tgt && lt h thr tgt && gt w p.C.mu width && lt w p.C.delta width
+    then `Medium_vertical
+    else if le h p.C.mu tgt && ge w p.C.delta width then `Horizontal
+    else if le h p.C.mu tgt && le w p.C.mu width then `Small
+    else `Medium
+
+  let classify (inst : Instance.t) p =
+    let items cls =
+      Array.to_list inst.Instance.items
+      |> List.filter (fun it -> category p inst.Instance.width it = cls)
+      |> List.rev
+    in
+    {
+      C.large = items `Large;
+      tall = items `Tall;
+      vertical = items `Vertical;
+      medium_vertical = items `Medium_vertical;
+      horizontal = items `Horizontal;
+      small = items `Small;
+      medium = items `Medium;
+    }
+
+  let round_heights (inst : Instance.t) (p : C.params) =
+    let tgt = Rat.of_int p.C.target in
+    let threshold = Rat.mul p.C.delta tgt in
+    Instance.map_items
+      (fun (it : Item.t) ->
+        if Rat.(of_int it.Item.h <= threshold) then it
+        else begin
+          let rec find_scale level bound =
+            let bound = Rat.mul bound p.C.eps in
+            if Rat.(of_int it.Item.h >= bound) || level > 62 then bound
+            else find_scale (level + 1) bound
+          in
+          let grid = max 1 (Rat.floor (Rat.mul (find_scale 1 tgt) p.C.eps)) in
+          { it with Item.h = Dsp_util.Xutil.ceil_div it.Item.h grid * grid }
+        end)
+      inst
+end
+
+(* A random classification problem from [seed]: target up to 10^6, a
+   width, eps in {1/4, 1/3, 1/5, 2/7} and (delta, mu) a consecutive
+   pair of Lemma 2's sequence (f = id).  Half the item dimensions sit
+   within one unit of a class or scale boundary, the rest spread over
+   several orders of magnitude. *)
+let cut_problem seed =
+  let rng = Dsp_util.Rng.create seed in
+  let pick xs = List.nth xs (Dsp_util.Rng.int rng (List.length xs)) in
+  let eps = pick [ Rat.make 1 4; Rat.make 1 3; Rat.make 1 5; Rat.make 2 7 ] in
+  let next s = Rat.(mul (mul s s) eps) in
+  let delta =
+    List.fold_left (fun s _ -> next s) eps (List.init (Dsp_util.Rng.int rng 3) Fun.id)
+  in
+  let target = 1 + Dsp_util.Rng.int rng 1_000_000 in
+  let width = 1 + Dsp_util.Rng.int rng 100_000 in
+  let p = { Dsp_algo.Classify.eps; delta; mu = next delta; target } in
+  let near frac scale =
+    let x = Rat.mul frac (Rat.of_int scale) in
+    pick [ Rat.floor x; Rat.ceil x ] + Dsp_util.Rng.int_in rng (-1) 1
+  in
+  let fracs =
+    Rat.[ eps; delta; p.mu; add (make 1 4) eps; mul eps eps; mul eps (mul eps eps) ]
+  in
+  let dim scale =
+    let v =
+      if Dsp_util.Rng.int rng 2 = 0 then near (pick fracs) scale
+      else 1 + (Dsp_util.Rng.int rng scale / pick [ 1; 10; 100; 10_000 ])
+    in
+    max 1 (min scale v)
+  in
+  let inst =
+    Instance.of_dims ~width
+      (List.init (1 + Dsp_util.Rng.int rng 60) (fun _ -> (dim width, dim target)))
+  in
+  (inst, p)
+
+let cut_tests =
+  [
+    Helpers.qtest ~count:400 "classify matches per-item rational comparisons"
+      QCheck.(make Gen.nat) (fun seed ->
+        let inst, p = cut_problem seed in
+        Dsp_algo.Classify.classify inst p = Before.classify inst p);
+    Helpers.qtest ~count:400 "round_heights matches the per-item scale walk"
+      QCheck.(make Gen.nat) (fun seed ->
+        let inst, p = cut_problem seed in
+        Instance.equal (Dsp_algo.Rounding.round_heights inst p).Dsp_algo.Rounding.rounded
+          (Before.round_heights inst p));
+  ]
+
 let rounding_tests =
   [
     Helpers.qtest "rounding never shrinks heights"
@@ -136,4 +243,4 @@ let algo_tests =
             (Packing.height pk <= 13));
     ]
 
-let suite = classify_tests @ rounding_tests @ config_fill_tests @ algo_tests
+let suite = classify_tests @ cut_tests @ rounding_tests @ config_fill_tests @ algo_tests

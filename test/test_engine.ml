@@ -155,6 +155,77 @@ let pts_duality_tests =
             Dsp_util.Instr.value range_add - ra0 ));
   ]
 
+(* approx54's output and work pinned on a fixed corpus.  The heights
+   and starts digests fix the packings, which the decision round's
+   exact shortcuts (integer class cuts, incumbent-capped greedy
+   passes, Rat fast paths) must leave unchanged.  The counters are
+   the round's deterministic work and move with any extra pass,
+   probe or pivot. *)
+let approx54_corpus () =
+  let gen seed f = f (Dsp_util.Rng.create seed) in
+  let module G = Dsp_instance.Generators in
+  [
+    ("uniform-60", gen 21 (fun r -> G.uniform r ~n:60 ~width:80 ~max_w:20 ~max_h:30));
+    ("uniform-120", gen 22 (fun r -> G.uniform r ~n:120 ~width:200 ~max_w:60 ~max_h:50));
+    ("uniform-200", gen 23 (fun r -> G.uniform r ~n:200 ~width:1000 ~max_w:300 ~max_h:100));
+    ("correlated-100", gen 24 (fun r -> G.correlated r ~n:100 ~width:150 ~max_w:50 ~max_h:40));
+    ("correlated-200", gen 25 (fun r -> G.correlated r ~n:200 ~width:1000 ~max_w:300 ~max_h:100));
+    ("tall-flat-80", gen 26 (fun r -> G.tall_and_flat r ~n:80 ~width:100 ~max_h:60));
+    ("tall-flat-160", gen 27 (fun r -> G.tall_and_flat r ~n:160 ~width:400 ~max_h:90));
+    (* The shape of the solve-approx benchmark's fixed LP instance: a
+       few tall items, many narrow mid-height ones and a few flat
+       ones, so the configuration LP runs. *)
+    ( "lp-shaped-67",
+      gen 30 (fun rng ->
+          let r lo hi = lo + Dsp_util.Rng.int rng (hi - lo + 1) in
+          Instance.of_dims ~width:500
+            (List.init 5 (fun _ -> (r 5 10, r 200 260))
+            @ List.init 50 (fun _ -> (r 1 8, r 60 120))
+            @ List.init 12 (fun _ -> (r 50 150, r 2 8)))) );
+  ]
+
+let starts_digest pk =
+  Packing.starts pk |> Array.to_list |> List.map string_of_int
+  |> String.concat "," |> Digest.string |> Digest.to_hex
+
+(* (name, height, starts digest, [best_fit probes; range_add; pivots;
+   attempts]) *)
+let approx54_pins =
+  [
+    ("uniform-60", 101, "de5ecb3e245e1c1d1637123e0f39a325", [ 846; 2574; 0; 6 ]);
+    ("uniform-120", 472, "0c32820763bfb74ede680b95cf69aa55", [ 2277; 6350; 0; 7 ]);
+    ("uniform-200", 1495, "0d77edf736c521813346a975a99fb720", [ 5120; 13905; 0; 9 ]);
+    ("correlated-100", 436, "72004b2a2e3ae2fb6ca291e63d57ea2d", [ 2227; 6121; 0; 8 ]);
+    ("correlated-200", 2146, "f4f470c9ce63d6a8ac4d7c35a1b8d9bb", [ 5456; 15240; 0; 10 ]);
+    ("tall-flat-80", 242, "6e57ab0d9abc1dce50dc09894f0bac1a", [ 1699; 4803; 0; 8 ]);
+    ("tall-flat-160", 722, "d78479b58e7a17565f1f0dbbd83e7f5d", [ 4303; 11341; 0; 9 ]);
+    ("lp-shaped-67", 370, "9e7d277fc8393642eb5b25506f621c53", [ 65; 409; 159; 1 ]);
+  ]
+
+let approx54_run inst =
+  let module I = Dsp_util.Instr in
+  let cs =
+    List.map I.counter
+      I.Sites.
+        [ budget_fit_best_fit_probes; segtree_range_add; simplex_pivots; approx54_attempts ]
+  in
+  let before = List.map I.value cs in
+  let pk = Dsp_algo.Approx54.solve inst in
+  (Packing.height pk, starts_digest pk, List.map2 (fun c v0 -> I.value c - v0) cs before)
+
+let approx54_pin_tests =
+  [
+    Alcotest.test_case "approx54 packings and work are pinned" `Quick (fun () ->
+        List.iter2
+          (fun (name, h, digest, work) (_, inst) ->
+            Alcotest.(check (triple int string (list int)))
+              (name
+             ^ ": height, starts digest, [best_fit probes; range_add; pivots; \
+                attempts]")
+              (h, digest, work) (approx54_run inst))
+          approx54_pins (approx54_corpus ()));
+  ]
+
 let contains_substring hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -200,4 +271,4 @@ let corruption_tests =
 
 let suite =
   registry_tests @ solver_report_tests @ counter_tests @ pts_duality_tests
-  @ corruption_tests
+  @ approx54_pin_tests @ corruption_tests

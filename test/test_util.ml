@@ -39,8 +39,55 @@ let rng_tests =
           (Array.init 50 Fun.id) sorted);
   ]
 
+(* Xutil's checked arithmetic as it stood before checked_mul's
+   division-free path. *)
+let checked_add_before a b =
+  let s = a + b in
+  if (a >= 0 && b >= 0 && s < 0) || (a < 0 && b < 0 && s >= 0) then
+    raise Xutil.Overflow
+  else s
+
+let checked_mul_before a b =
+  if a = 0 || b = 0 then 0
+  else
+    let p = a * b in
+    if p / b <> a then raise Xutil.Overflow else p
+
+let agrees f before (a, b) =
+  let outcome g = match g a b with r -> Ok r | exception Xutil.Overflow -> Error () in
+  outcome f = outcome before
+
+let boundary_pair =
+  QCheck.make
+    ~print:(fun (a, b) -> Printf.sprintf "(%d, %d)" a b)
+    QCheck.Gen.(pair Helpers.boundary_int_gen Helpers.boundary_int_gen)
+
 let xutil_tests =
   [
+    Helpers.qtest ~count:2000 "checked_mul at the int boundary matches the old formula"
+      boundary_pair (agrees Xutil.checked_mul checked_mul_before);
+    Helpers.qtest ~count:2000 "checked_add at the int boundary matches the old formula"
+      boundary_pair (agrees Xutil.checked_add checked_add_before);
+    Alcotest.test_case "checked_mul around 2^30, 2^31 and min_int" `Quick
+      (fun () ->
+        let p30 = 1 lsl 30 and p31 = 1 lsl 31 in
+        List.iter
+          (fun (a, b) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%d * %d" a b)
+              true
+              (agrees Xutil.checked_mul checked_mul_before (a, b)))
+          [
+            (p30 - 1, p30 - 1); (p30, p30); (-p30, p30); (-p30, -p30);
+            (p30 - 1, -p30); (p31, p31); (-p31, p31); (p31, -p31);
+            (min_int, 1); (min_int, -1); (-1, min_int); (max_int, 1);
+            (max_int, -1); (max_int, 2); (3, p31 * p30);
+          ];
+        Alcotest.check Alcotest.int "2^30 * 2^30" (1 lsl 60) (Xutil.checked_mul p30 p30);
+        Alcotest.check Alcotest.int "-(2^31) * 2^31 is min_int" min_int
+          (Xutil.checked_mul (-p31) p31);
+        Alcotest.check_raises "2^31 * 2^31" Xutil.Overflow (fun () ->
+            ignore (Xutil.checked_mul p31 p31)));
     Alcotest.test_case "ceil_div" `Quick (fun () ->
         Alcotest.check Alcotest.int "7/2" 4 (Xutil.ceil_div 7 2);
         Alcotest.check Alcotest.int "8/2" 4 (Xutil.ceil_div 8 2);

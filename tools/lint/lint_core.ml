@@ -267,8 +267,11 @@ let project_config ~root =
               "first_fit_from_i";
               "push_down_sweep";
               "push_subtree";
+              "best_start";
             ] );
         ("lib/core/profile.ml", Except [ "render"; "pp" ]);
+        ( "lib/util/xutil.ml",
+          Only [ "checked_add"; "checked_mul"; "sat_sub" ] );
       ];
     r2_dirs =
       (* dsp_serve pulls in the engine cone and adds the service layer,
