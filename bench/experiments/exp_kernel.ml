@@ -64,11 +64,12 @@ let on_domains ~domains f =
   Array.fold_left (fun acc d -> acc + Domain.join d) r0 others
 
 (* Steady-state allocation probe: after warm-up, a long run of mixed
-   kernel ops (update, query, both placement searches) must not move
-   the minor-heap counter.  Parameters are precomputed so the loop
-   itself is allocation-free; the budget threshold is the words-per-op
-   the CI gate enforces (< 0.01 — a handful of boxed floats from the
-   Gc counter reads themselves, amortized over 100k ops). *)
+   kernel ops (update, query, the last-above search, first fit and
+   best_start_i) must not move the minor-heap counter.  Parameters are
+   precomputed so the loop itself is allocation-free; the budget
+   threshold is the words-per-op the CI gate enforces (< 0.01 — a
+   handful of boxed floats from the Gc counter reads themselves,
+   amortized over 100k ops). *)
 let alloc_probe ~experiment w =
   let t = Segtree.create w in
   let rng = Rng.create (Common.seed_for 4242) in
@@ -81,7 +82,8 @@ let alloc_probe ~experiment w =
     Segtree.range_add t ~lo:los.(i) ~hi:(los.(i) + lens.(i)) hts.(i);
     ignore (Segtree.range_max t ~lo:los.(i) ~hi:(los.(i) + lens.(i)));
     ignore (Segtree.first_fit_from_i t ~from:0 ~len:lens.(i) ~height:hts.(i) ~limit:5000);
-    ignore (Segtree.find_last_above_i t ~lo:los.(i) ~hi:(los.(i) + lens.(i)) 20)
+    ignore (Segtree.find_last_above_i t ~lo:los.(i) ~hi:(los.(i) + lens.(i)) 20);
+    ignore (Segtree.best_start_i t ~len:lens.(i))
   done;
   let ops = 100_000 in
   let sink = ref 0 in
@@ -93,14 +95,15 @@ let alloc_probe ~experiment w =
     sink := !sink + Segtree.range_max t ~lo ~hi:(lo + len);
     sink := !sink + Segtree.first_fit_from_i t ~from:0 ~len ~height:h ~limit:5000;
     sink := !sink + Segtree.find_last_above_i t ~lo ~hi:(lo + len) 20;
+    sink := !sink + Segtree.best_start_i t ~len + Segtree.best_peak t;
     Segtree.range_add t ~lo ~hi:(lo + len) (-h)
   done;
   let dw = Gc.minor_words () -. w0 in
-  (* 4 kernel calls per iteration is the denominator the gate uses. *)
-  let per_op = dw /. float_of_int (4 * ops) in
+  (* 5 kernel calls per iteration is the denominator the gate uses. *)
+  let per_op = dw /. float_of_int (5 * ops) in
   Printf.printf
     "alloc probe (W=%d): %.0f minor words over %d ops = %.6f words/op%s\n" w dw
-    (4 * ops) per_op
+    (5 * ops) per_op
     (if per_op < 0.01 then " (zero steady-state allocation)" else " !!");
   ignore !sink;
   Bench_json.record ~experiment "flat_alloc_words_per_op"
@@ -256,6 +259,60 @@ let kernel_at ~experiment widths () =
   alloc_probe ~experiment
     (List.fold_left max 1 widths)
 
-let kernel () = kernel_at ~experiment:"kernel" [ 1000; 5000 ] ()
+(* best_start cost by profile shape, in ns per call.  A call is one
+   +3 range add over a window of the query length, the best_start
+   query, and the -3 add that undoes it, so the profile stays the
+   shape it was built as.  The query walks runs of equal load, so
+   random rectangles (tens of runs) are its common case and a strict
+   staircase (one run per column) its worst. *)
+let best_start_shapes ~experiment =
+  let calls = 200_000 and m = 256 in
+  let staircase w = Segtree.of_array (Array.init w (fun x -> w - x)) in
+  let rects rng w k =
+    let t = Segtree.create w in
+    for _ = 1 to k do
+      let lo = Rng.int rng w in
+      let hi = lo + 1 + Rng.int rng (w - lo) in
+      Segtree.range_add t ~lo ~hi (1 + Rng.int rng 40)
+    done;
+    t
+  in
+  Printf.printf "\nbest_start by profile shape (%d calls each):\n" calls;
+  Printf.printf "  %-24s %5s %5s %10s\n" "shape" "W" "len" "ns/call";
+  List.iter
+    (fun (name, w, len, build) ->
+      let rng = Rng.create (Common.seed_for (777 + w + len)) in
+      let t = build rng w in
+      let los = Array.init m (fun _ -> Rng.int rng (w - len + 1)) in
+      let run () =
+        let sink = ref 0 in
+        for i = 0 to calls - 1 do
+          let lo = los.(i land (m - 1)) in
+          Segtree.range_add t ~lo ~hi:(lo + len) 3;
+          (match Segtree.best_start t ~len with
+          | Some (s, pk) -> sink := !sink + s + pk
+          | None -> ());
+          Segtree.range_add t ~lo ~hi:(lo + len) (-3)
+        done;
+        !sink
+      in
+      let _, secs, _ = Common.time_reps run in
+      let ns = secs *. 1e9 /. float_of_int calls in
+      Printf.printf "  %-24s %5d %5d %10.0f\n" name w len ns;
+      Bench_json.record ~experiment
+        (Printf.sprintf "best_start_ns.%s" name)
+        (Bench_json.Float ns))
+    [
+      ("W1000.rects45.len50", 1000, 50, fun rng w -> rects rng w 45);
+      ("W1000.rects45.len300", 1000, 300, fun rng w -> rects rng w 45);
+      ("W1000.staircase", 1000, 50, fun _ w -> staircase w);
+      ("W96.rects4", 96, 12, fun rng w -> rects rng w 4);
+      ("W96.rects20", 96, 12, fun rng w -> rects rng w 20);
+      ("W96.staircase", 96, 12, fun _ w -> staircase w);
+    ]
+
+let kernel () =
+  kernel_at ~experiment:"kernel" [ 1000; 5000 ] ();
+  best_start_shapes ~experiment:"kernel"
 let kernel_smoke () = kernel_at ~experiment:"kernel-smoke" [ 200 ] ()
 let experiments = [ ("kernel", kernel); ("kernel-smoke", kernel_smoke) ]

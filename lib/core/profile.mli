@@ -5,8 +5,10 @@
     Strip Packing: the objective value of a packing is exactly the peak
     of its profile.  The implementation is backed by the lazy segment
     tree ({!Segtree}): range updates and window-peak queries are
-    O(log width), and the placement queries {!first_fit_start} /
-    {!best_start} replace whole O(width * len) scan loops.  The
+    O(log width), {!first_fit_start} skips ahead past violating
+    columns, and {!best_start} walks only the load breakpoints
+    (O(width/62 + runs of equal load)); both replace whole
+    O(width * len) scan loops.  The
     pre-kernel flat-array implementation survives as {!Naive} for
     differential testing and as the baseline of the kernel
     benchmark. *)
@@ -72,7 +74,8 @@ val first_fit_start :
 val best_start : t -> len:int -> (int * int) option
 (** [best_start t ~len] is [(s, peak)] for the leftmost start [s]
     minimizing the window peak, together with that peak; [None] when
-    [len] exceeds the strip width.  O(width) sliding-window maximum. *)
+    [len] exceeds the strip width.  O(width/62 + runs of equal load):
+    {!Segtree.best_start}. *)
 
 val of_starts : Instance.t -> int array -> t
 (** Profile of the packing that starts item [i] at [starts.(i)]. *)

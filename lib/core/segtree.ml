@@ -1,4 +1,5 @@
-(* The packing kernel: a lazy range-add / range-max segment tree.
+(* The packing kernel: a lazy range-add / range-max segment tree, with
+   a difference bitset beside it for the best-fit placement scan.
 
    A flat, implicit-layout kernel on a single [Bigarray] in
    [c_layout]: nodes are 1-based (root 1, children 2v / 2v+1, leaves
@@ -6,21 +7,26 @@
    offsets [2v] (subtree max, inclusive of the node's own pending
    add) and [2v+1] (pending add for the whole subtree).  All traversals are iterative: bottom-up
    leaf-interval climbs for updates (boundary root paths rebuilt in
-   one merged climb above their common ancestor), top-down
-   boundary-path descents for queries, and a dirty-tracked flatten
-   for [best_start] / [to_array] — updates log which subtrees took a
-   pending add and which column span they cover, so a flatten pushes
-   lazies down just those subtrees and re-reads just that span,
-   instead of sweeping all O(n) nodes per call.
+   one merged climb above their common ancestor) and top-down
+   boundary-path descents for queries.
    Local [ref] cursors compile to mutable stack variables
    (Simplif.eliminate_ref), so the steady-state ops — [range_add],
-   [range_max], [first_fit_from_i], [find_last_above_i] — allocate
-   nothing: no closures, no tuples, no exceptions, no boxed returns.
-   The [kernel] bench experiment measures this invariant
-   (words-per-op) and scripts/perf_gate.sh gates on it.  The
-   [best_start] deque scan, every best-fit placement's O(n) inner
-   loop, reads and writes its two plain arrays without bounds checks;
-   its comment states why each index stays in [0, n).
+   [range_max], [first_fit_from_i], [find_last_above_i],
+   [best_start_i] — allocate nothing: no closures, no tuples, no
+   exceptions, no boxed returns.  The [kernel] bench experiment
+   measures this invariant (words-per-op) and scripts/perf_gate.sh
+   gates on it.
+
+   Load breakpoints: beside the tree, every update also maintains a
+   difference array ([diff.(x)] = load x − load (x−1), load (−1) = 0)
+   and a bitset of its non-zero cells, 62 columns per word.  A range
+   add touches two cells and their two bits, O(1).  [best_start_i]
+   walks the set bits (about n/62 words plus one step per run of equal
+   load), accumulating the loads as it goes, and scores candidate
+   starts off a monotone stack of runs: O(n/62 + runs) per call
+   instead of O(n), with no flatten.  [to_array] is a prefix sum over
+   [diff].  The run scan reads and writes its scratch without bounds
+   checks; its comment states why each index stays in range.
 
    Element kind: the cells are an untagged native-[int] Bigarray
    ([Bigarray.int], 63-bit payload), not boxed [int64]: without
@@ -31,9 +37,16 @@
    Overflow discipline: a positive [range_add] proves
    [root max + value] representable via [Xutil.checked_add] (so
    accumulated maxima never wrap), and comparison thresholds are
-   built with the saturating [Xutil.sat_sub].  dsp_lint rule R1 audits this file; the remaining
-   raw [+]/[-] sites are index arithmetic or accumulations covered by
-   the root guard, each carrying its waiver and justification. *)
+   built with the saturating [Xutil.sat_sub].  Difference cells may
+   wrap (loads can be negative, so a difference can exceed the int
+   range), which is harmless: ints add modulo 2^63, so prefix sums of
+   wrapped differences equal the true loads, which are representable;
+   and a true difference d has |d| <= 2^63 − 1, so d is 0 modulo 2^63
+   only when d = 0, which keeps every bit exact.  dsp_lint rule R1
+   audits this file; the remaining raw [+]/[-] sites are index
+   arithmetic, accumulations covered by the root guard, or difference
+   arithmetic covered by the modulo argument, each carrying its waiver
+   and justification. *)
 
 module A1 = Bigarray.Array1
 
@@ -46,18 +59,19 @@ let c_first_fit = Dsp_util.Instr.counter Dsp_util.Instr.Sites.segtree_first_fit
 let c_last_above = Dsp_util.Instr.counter Dsp_util.Instr.Sites.segtree_find_last_above
 let c_best_start = Dsp_util.Instr.counter Dsp_util.Instr.Sites.segtree_best_start
 
+(* Columns per bitset word: 62 keeps every word, and every isolated
+   bit, a positive int. *)
+let word_bits = 62
+
 type t = {
   n : int; (* columns *)
   size : int; (* smallest power of two >= n *)
   cells : (int, Bigarray.int_elt, Bigarray.c_layout) A1.t;
       (* 4*size interleaved node cells; see the header comment *)
-  flat : int array; (* per-column flatten buffer (best_start) *)
-  deque : int array; (* monotone deque (best_start) *)
-  dirty : int array; (* nodes given a pending add since the last flatten *)
-  mutable dirty_n : int; (* entries in [dirty]; -1 = overflowed, full sweep *)
-  mutable dirty_lo : int; (* column span touched since the last flatten: *)
-  mutable dirty_hi : int; (* [dirty_lo, dirty_hi), empty when lo >= hi *)
-  pstack : int array; (* push-down DFS scratch (max one path per level) *)
+  diff : int array; (* load x − load (x−1), modulo 2^63 *)
+  bits : int array; (* bit x mod 62 of word x / 62: diff.(x) <> 0 *)
+  stack : int array; (* best_start scratch: (load, candidate) pairs *)
+  mutable peak : int; (* window peak of the last best_start_i answer *)
   mutable jrn : int array; (* checkpoint journal: (lo, hi, value) triples *)
   mutable jrn_n : int; (* used cells in [jrn] (always a multiple of 3) *)
   mutable jrn_depth : int; (* outstanding checkpoints; 0 = journal off *)
@@ -83,13 +97,10 @@ let create n =
     n;
     size = !size;
     cells;
-    flat = Array.make n 0; (* all-zero: consistent with the empty tree *)
-    deque = Array.make n 0;
-    dirty = Array.make 256 0;
-    dirty_n = 0;
-    dirty_lo = n;
-    dirty_hi = 0;
-    pstack = Array.make 128 0;
+    diff = Array.make n 0;
+    bits = Array.make ((n + word_bits - 1) / word_bits) 0;
+    stack = Array.make (2 * n) 0;
+    peak = 0;
     jrn = [||]; (* grown on first journaled update *)
     jrn_n = 0;
     jrn_depth = 0;
@@ -100,17 +111,16 @@ let size t = t.n
 let copy t =
   let cells = A1.create Bigarray.int Bigarray.c_layout (A1.dim t.cells) in
   A1.blit t.cells cells;
-  (* [flat] and the dirty state carry over: entries outside the dirty
-     span are valid flatten results for the copied tree too.  The
-     checkpoint journal carries over as well, so a copy taken inside a
-     checkpointed region can itself be rolled back. *)
+  (* The difference array and its bitset carry over; the run scratch
+     is per tree.  The checkpoint journal carries over as well, so a
+     copy taken inside a checkpointed region can itself be rolled
+     back. *)
   {
     t with
     cells;
-    flat = Array.copy t.flat;
-    deque = Array.make t.n 0;
-    dirty = Array.copy t.dirty;
-    pstack = Array.make 128 0;
+    diff = Array.copy t.diff;
+    bits = Array.copy t.bits;
+    stack = Array.make (2 * t.n) 0;
     jrn = Array.copy t.jrn;
   }
 
@@ -121,31 +131,33 @@ let apply_add t v value =
   tset t v (tget t v + value); (* lint: ok R1 — root guard *)
   lset t v (lget t v + value) (* lint: ok R1 — same root guard *)
 
-(* Remember that node [v] holds a pending add, so the next flatten can
-   push down just the touched subtrees instead of sweeping every
-   node.  Leaves carry no pushable lazy; on overflow the list degrades
-   to a full-sweep marker, never to wrong answers. *)
-let mark_dirty t v =
-  if v < t.size && t.dirty_n >= 0 then
-    if t.dirty_n < Array.length t.dirty then begin
-      t.dirty.(t.dirty_n) <- v;
-      t.dirty_n <- t.dirty_n + 1
-    end
-    else t.dirty_n <- -1
-
 (* Recompute one node's max from its (already correct) children,
    re-applying the node's own lazy. *)
 let pull t v =
   let l = tget t (2 * v) and r = tget t ((2 * v) + 1) in
   tset t v ((if l >= r then l else r) + lget t v) (* lint: ok R1 — root guard *)
 
+(* Add [v] to difference cell [x] and keep its bit equal to
+   [diff.(x) <> 0].  A range add of [value] over [lo, hi) moves two
+   cells: load lo − load (lo−1) grows by [value], load hi − load (hi−1)
+   shrinks by it (no cell past the last column). *)
+let diff_add t x v =
+  let d = t.diff.(x) + v in (* lint: ok R1 — modulo 2^63, header *)
+  t.diff.(x) <- d;
+  let w = x / word_bits and b = 1 lsl (x mod word_bits) in
+  t.bits.(w) <- (if d = 0 then t.bits.(w) land lnot b else t.bits.(w) lor b)
+
 (* The range_add workhorse, shared with checkpoint rollback (which
    replays journal entries negated).  Callers have validated the range
    and run the O(1) overflow guard; rollback re-applies only values
    whose effect was previously on the tree, so its intermediate states
-   are exactly the earlier (guarded) states in reverse. *)
+   are exactly the earlier (guarded) states in reverse.  The
+   difference cells take the same updates, so they stay exact under
+   rollback too. *)
 let apply_range t lo hi value =
   if lo < hi then begin
+    diff_add t lo value;
+    if hi < t.n then diff_add t hi (0 - value);
     (* Bottom-up over the leaf interval [lo+size, hi+size): apply to
        the O(log n) maximal covered nodes, then rebuild the two
        boundary root paths — merged into one climb above their lowest
@@ -157,19 +169,15 @@ let apply_range t lo hi value =
     while !l < !r do
       if !l land 1 = 1 then begin
         apply_add t !l value;
-        mark_dirty t !l;
         l := !l + 1
       end;
       if !r land 1 = 1 then begin
         r := !r - 1;
-        apply_add t !r value;
-        mark_dirty t !r
+        apply_add t !r value
       end;
       l := !l lsr 1;
       r := !r lsr 1
     done;
-    if lo < t.dirty_lo then t.dirty_lo <- lo;
-    if hi > t.dirty_hi then t.dirty_hi <- hi;
     let x = ref (l0 lsr 1) and y = ref (r0 lsr 1) in
     while !x <> !y do
       pull t !x;
@@ -243,10 +251,8 @@ let commit t mark =
 
 let reset t =
   A1.fill t.cells 0;
-  Array.fill t.flat 0 t.n 0;
-  t.dirty_n <- 0;
-  t.dirty_lo <- t.n;
-  t.dirty_hi <- 0;
+  Array.fill t.diff 0 t.n 0;
+  Array.fill t.bits 0 (Array.length t.bits) 0;
   t.jrn_n <- 0;
   t.jrn_depth <- 0
 
@@ -490,148 +496,121 @@ let first_fit_from t ~from ~len ~height ~limit =
 let first_fit_pos t ~len ~height ~limit =
   first_fit_from t ~from:0 ~len ~height ~limit
 
-(* O(n) flatten into the preallocated buffer, by destructive lazy
-   push-down: moving every pending add one level toward the leaves
-   preserves the represented profile exactly (the parent's tree cell
-   already included its lazy; the children absorb it into both their
-   cells), after which the leaf cells hold final values and the whole
-   pass is two sequential sweeps.  Processing nodes in increasing
-   index order pushes ancestors before descendants, and a node whose
-   lazy is already 0 costs one read — so back-to-back flattens (the
-   best-fit placement loop) touch only the O(log n) lazies the
-   interleaved updates re-introduced.  Leaf lazy cells are never read
-   by any query, so the leaf level needs no lazy bookkeeping. *)
-let push_down_sweep t =
-  let a = t.cells and half = t.size / 2 in
-  for v = 1 to half - 1 do
-    let lz = A1.unsafe_get a ((2 * v) + 1) in
-    if lz <> 0 then begin
-      let l = 4 * v and r = (4 * v) + 2 in
-      A1.unsafe_set a l (A1.unsafe_get a l + lz); (* lint: ok R1 — root guard *)
-      A1.unsafe_set a (l + 1) (A1.unsafe_get a (l + 1) + lz); (* lint: ok R1 — root guard *)
-      A1.unsafe_set a r (A1.unsafe_get a r + lz); (* lint: ok R1 — root guard *)
-      A1.unsafe_set a (r + 1) (A1.unsafe_get a (r + 1) + lz); (* lint: ok R1 — root guard *)
-      A1.unsafe_set a ((2 * v) + 1) 0
-    end
-  done;
-  (* Deepest internal level: children are leaves, whose lazy cells no
-     query reads, so only the tree cells absorb the push.  (max 1
-     guards the size = 1 tree, which has no internal nodes.) *)
-  for v = max 1 half to t.size - 1 do
-    let lz = A1.unsafe_get a ((2 * v) + 1) in
-    if lz <> 0 then begin
-      let l = 4 * v and r = (4 * v) + 2 in
-      A1.unsafe_set a l (A1.unsafe_get a l + lz); (* lint: ok R1 — root guard *)
-      A1.unsafe_set a r (A1.unsafe_get a r + lz); (* lint: ok R1 — root guard *)
-      A1.unsafe_set a ((2 * v) + 1) 0
-    end
-  done
-
-(* Push node [v0]'s pending add all the way to its leaves, iteratively
-   on the preallocated scratch stack.  The cascade stops wherever a
-   lazy cancels to zero, so the work is O(nodes holding or receiving
-   a pending add), not O(subtree): deferring one sibling per level
-   bounds the stack by the tree height (pstack is sized well past
-   62-bit depth). *)
-let push_subtree t v0 =
-  let a = t.cells and stack = t.pstack and half = t.size / 2 in
-  stack.(0) <- v0;
-  let top = ref 1 in
-  while !top > 0 do
-    top := !top - 1;
-    let u = stack.(!top) in
-    let lz = A1.unsafe_get a ((2 * u) + 1) in
-    if lz <> 0 then begin
-      A1.unsafe_set a ((2 * u) + 1) 0;
-      let l = 4 * u and r = (4 * u) + 2 in
-      A1.unsafe_set a l (A1.unsafe_get a l + lz); (* lint: ok R1 — root guard *)
-      A1.unsafe_set a r (A1.unsafe_get a r + lz); (* lint: ok R1 — root guard *)
-      if u < half then begin
-        (* internal children: lazies absorb the push and cascade *)
-        A1.unsafe_set a (l + 1) (A1.unsafe_get a (l + 1) + lz); (* lint: ok R1 — root guard *)
-        A1.unsafe_set a (r + 1) (A1.unsafe_get a (r + 1) + lz); (* lint: ok R1 — root guard *)
-        stack.(!top) <- 2 * u;
-        stack.(!top + 1) <- (2 * u) + 1;
-        top := !top + 2
-      end
-    end
-  done
-
-(* Resolve every pending add down to the leaf cells.  The common case
-   walks just the subtrees dirtied since the last flatten (a few
-   range_adds between best-fit placements); an overflowed dirty list
-   degrades to the full sweep. *)
-let push_down t =
-  if t.dirty_n < 0 then push_down_sweep t
-  else
-    for k = 0 to t.dirty_n - 1 do
-      push_subtree t t.dirty.(k)
-    done;
-  t.dirty_n <- 0
-
-(* After [push_down], column [i]'s final value sits in its leaf cell. *)
-let leaf_get t i = A1.unsafe_get t.cells (2 * (t.size + i))
-
-(* Refresh [t.flat]: columns outside the dirty span kept their values
-   from the previous flatten, so only the touched span is re-read. *)
-let flatten_into t =
-  push_down t;
-  for i = t.dirty_lo to t.dirty_hi - 1 do
-    t.flat.(i) <- leaf_get t i
-  done;
-  t.dirty_lo <- t.n;
-  t.dirty_hi <- 0
-
+(* Per-column loads: a prefix sum over the difference array (modulo
+   2^63, so wrapped cells sum to the true, representable loads). *)
 let to_array t =
-  flatten_into t;
-  Array.sub t.flat 0 t.n
+  let a = Array.make t.n 0 and cur = ref 0 in
+  for x = 0 to t.n - 1 do
+    cur := !cur + t.diff.(x); (* lint: ok R1 — modulo 2^63, header *)
+    a.(x) <- !cur
+  done;
+  a
 
 let of_array arr =
   let t = create (Array.length arr) in
   Array.iteri (fun i v -> range_add t ~lo:i ~hi:(i + 1) v) arr;
   t
 
-(* Sliding-window maximum (monotonic deque) over the preallocated
-   flatten: all window peaks in O(n) with no per-call buffers.  The
-   deque compares against the [t.flat] copy rather than the leaf
-   cells directly: a Bigarray element read is two dependent loads
-   (header, then data), so one sequential copy pass plus plain-array
-   comparisons beats re-reading leaves inside the loop (measured).
-   Reads and writes skip the bounds check: [flat] and [deque] both
-   have length n, every [loads] index is a column (x, or a deque
-   entry, which is some earlier x) in [0, n), and every [dq] index is
-   a slot in [head, tail) or [tail] itself, with
-   0 <= head < tail <= x + 1 <= n after the push. *)
-let best_start t ~len =
+(* Index of the single set bit of [b] (a power of two below 2^62):
+   multiplying by a de Bruijn constant moves a distinct 6-bit pattern
+   into the top bits of the 63-bit product, which [ctz_table] maps
+   back to the bit index. *)
+let de_bruijn = 0x03f79d71b4cb0a89
+
+let ctz_table =
+  let tbl = Bytes.make 64 '\000' in
+  for k = 0 to word_bits - 1 do
+    Bytes.set tbl ((de_bruijn lsl k) lsr 57) (Char.chr k)
+  done;
+  Bytes.to_string tbl
+
+let ctz b = Char.code (String.unsafe_get ctz_table ((b * de_bruijn) lsr 57)) (* lint: ok R1 — wraps by design *)
+
+(* Leftmost start minimising the window peak, over runs of equal load.
+   If load (s−1) = load s, the window at s−1 holds no column above the
+   window at s, so the leftmost minimiser is 0 or a breakpoint
+   b <= n − len: only those starts are candidates.
+
+   One walk over the set bits of [bits] accumulates the loads (bit 0
+   is folded in first: run 0 starts at column 0 whatever its load).
+   The runs seen so far sit on a stack of strictly decreasing loads; a
+   new run pops every entry whose load is <= its own.  An entry is a
+   (load, candidate) pair: its group is its own run plus the runs it
+   popped, all at or below its load, and its candidate is the group's
+   leftmost start still waiting for a score.  A later waiting start of
+   the group never sees a lower peak (its window holds the entry's run
+   too), so one candidate per entry suffices: a new run inherits the
+   candidate of the lowest entry it popped, else takes its own start.
+
+   A candidate g is scored at the first breakpoint x >= g + len, or
+   after the walk.  Its window then holds the rest of its group and
+   the entries above it, whose loads are lower, so its peak is its
+   entry's load.  Entries below [p] are scored, in column order, so a
+   strict [<] keeps the leftmost minimiser.  A new run that popped a
+   scored entry counts as scored ([p] is clamped to [top]): that
+   entry's candidate scored a peak <= the new load, which every
+   waiting start of the merged group sees.
+
+   Unchecked indices: [st] holds (load, candidate) at cells (2i,
+   2i+1), one entry per run, so [top] <= 2 * runs <= 2n = its length,
+   and [k], [p] stay in [0, top]; a cell read at [k] or [p] is below
+   [top].  A set bit names a column x < n, the length of [diff]; [wi]
+   is a word index. *)
+let best_start_i t ~len =
   Dsp_util.Instr.bump c_best_start;
-  if len < 1 || len > t.n then None
+  if len < 1 || len > t.n then -1
   else begin
-    flatten_into t;
-    let loads = t.flat and dq = t.deque in
-    let n = t.n in
-    let head = ref 0 and tail = ref 0 in
+    let diff = t.diff and bits = t.bits and st = t.stack in
+    let cur = ref (Array.unsafe_get diff 0) in
+    Array.unsafe_set st 0 !cur;
+    Array.unsafe_set st 1 0;
+    let top = ref 2 and p = ref 0 in
     let best_s = ref 0 and best_peak = ref max_int in
-    for x = 0 to n - 1 do
-      let lx = Array.unsafe_get loads x in
-      while
-        !tail > !head
-        && Array.unsafe_get loads (Array.unsafe_get dq (!tail - 1)) <= lx
-      do
-        tail := !tail - 1
-      done;
-      Array.unsafe_set dq !tail x;
-      tail := !tail + 1;
-      let s = x + 1 - len in (* lint: ok R1 — window index < n *)
-      if s >= 0 then begin
-        while Array.unsafe_get dq !head < s do
-          head := !head + 1
+    for wi = 0 to Array.length bits - 1 do
+      let w = ref (Array.unsafe_get bits wi) in
+      if wi = 0 then w := !w land lnot 1;
+      let base = wi * word_bits in (* lint: ok R1 — column index < n *)
+      while !w <> 0 do
+        let b = !w land (0 - !w) in (* the lowest set bit *)
+        w := !w lxor b;
+        let x = base + ctz b in (* lint: ok R1 — column index < n *)
+        (* Score the candidates whose windows end at or before x. *)
+        let lim = x - len in (* lint: ok R1 — 1 <= len <= n, 0 < x < n *)
+        while !p < !top && Array.unsafe_get st (!p + 1) <= lim do
+          let pk = Array.unsafe_get st !p in
+          if pk < !best_peak then begin
+            best_peak := pk;
+            best_s := Array.unsafe_get st (!p + 1)
+          end;
+          p := !p + 2
         done;
-        let wmax = Array.unsafe_get loads (Array.unsafe_get dq !head) in
-        if wmax < !best_peak then begin
-          best_peak := wmax;
-          best_s := s
-        end
-      end
+        cur := !cur + Array.unsafe_get diff x; (* lint: ok R1 — modulo 2^63, header *)
+        let l = !cur in
+        let k = ref !top in
+        while !k > 0 && Array.unsafe_get st (!k - 2) <= l do
+          k := !k - 2
+        done;
+        Array.unsafe_set st (!k + 1) (if !k < !top then Array.unsafe_get st (!k + 1) else x);
+        Array.unsafe_set st !k l;
+        top := !k + 2;
+        if !p > !top then p := !top
+      done
     done;
-    Some (!best_s, !best_peak)
+    let last = t.n - len in (* lint: ok R1 — 1 <= len <= n *)
+    while !p < !top && Array.unsafe_get st (!p + 1) <= last do
+      let pk = Array.unsafe_get st !p in
+      if pk < !best_peak then begin
+        best_peak := pk;
+        best_s := Array.unsafe_get st (!p + 1)
+      end;
+      p := !p + 2
+    done;
+    t.peak <- !best_peak;
+    !best_s
   end
+
+let best_peak t = t.peak
+
+let best_start t ~len =
+  let s = best_start_i t ~len in
+  if s < 0 then None else Some (s, t.peak)

@@ -14,8 +14,11 @@
     It is the only packing kernel: a flat, implicit-layout tree over
     a single native-[int] [Bigarray], with iterative traversals and
     preallocated scratch, so the steady-state operations ({!range_add},
-    {!range_max}, {!find_last_above_i}, {!first_fit_from_i}) allocate
-    nothing.  Each public operation bumps its [segtree.*]
+    {!range_max}, {!find_last_above_i}, {!first_fit_from_i},
+    {!best_start_i}) allocate nothing.  Beside the tree it keeps the
+    load breakpoints (a difference array and a bitset of its non-zero
+    cells), so the best-fit scan {!best_start_i} walks runs of equal
+    load instead of columns.  Each public operation bumps its [segtree.*]
     instrumentation counter.  The tests check it against linear scans
     of a plain load array. *)
 
@@ -65,8 +68,8 @@ val get : t -> int -> int
 val of_array : int array -> t
 
 val to_array : t -> int array
-(** Flatten to per-column values in O(n) (single lazy-accumulating
-    walk, not n point queries). *)
+(** Per-column values in O(n): a prefix sum over the kernel's
+    difference array, not n point queries. *)
 
 val find_last_above : t -> lo:int -> hi:int -> int -> int option
 (** [find_last_above t ~lo ~hi threshold] is the rightmost column in
@@ -92,8 +95,18 @@ val first_fit_from_i : t -> from:int -> len:int -> height:int -> limit:int -> in
 val first_fit_pos : t -> len:int -> height:int -> limit:int -> int option
 (** [first_fit_from] with [from = 0]. *)
 
+val best_start_i : t -> len:int -> int
+(** [best_start_i t ~len] is the leftmost start [s] minimizing the
+    window peak [range_max t s (s+len)], or [-1] when no window of
+    length [len] fits.  The minimum itself is left in {!best_peak}.
+    O(n/62 + runs), where runs counts maximal runs of equal load: one
+    walk over the load breakpoints, whose columns (and 0) are the only
+    candidate starts.  Allocation-free. *)
+
+val best_peak : t -> int
+(** The window peak of the last {!best_start_i} answer that was not
+    [-1]. *)
+
 val best_start : t -> len:int -> (int * int) option
-(** [best_start t ~len] is [(s, peak)] where [s] is the leftmost start
-    minimizing the window peak [range_max t s (s+len)] and [peak] that
-    minimum; [None] when no window of length [len] fits.  O(n) via a
-    sliding-window maximum over a flattened snapshot. *)
+(** {!best_start_i} as [Some (s, peak)], or [None] when no window of
+    length [len] fits. *)

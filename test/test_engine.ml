@@ -160,7 +160,9 @@ let pts_duality_tests =
    exact shortcuts (integer class cuts, incumbent-capped greedy
    passes, Rat fast paths) must leave unchanged.  The counters are
    the round's deterministic work and move with any extra pass,
-   probe or pivot. *)
+   probe or pivot.  The best_start count is how often the round asks
+   the kernel for a best-fit scan: a faster scan with the same answers
+   leaves it, and every other number here, fixed. *)
 let approx54_corpus () =
   let gen seed f = f (Dsp_util.Rng.create seed) in
   let module G = Dsp_instance.Generators in
@@ -189,17 +191,17 @@ let starts_digest pk =
   |> String.concat "," |> Digest.string |> Digest.to_hex
 
 (* (name, height, starts digest, [best_fit probes; range_add; pivots;
-   attempts]) *)
+   attempts; best_start]) *)
 let approx54_pins =
   [
-    ("uniform-60", 101, "de5ecb3e245e1c1d1637123e0f39a325", [ 846; 2574; 0; 6 ]);
-    ("uniform-120", 472, "0c32820763bfb74ede680b95cf69aa55", [ 2277; 6350; 0; 7 ]);
-    ("uniform-200", 1495, "0d77edf736c521813346a975a99fb720", [ 5120; 13905; 0; 9 ]);
-    ("correlated-100", 436, "72004b2a2e3ae2fb6ca291e63d57ea2d", [ 2227; 6121; 0; 8 ]);
-    ("correlated-200", 2146, "f4f470c9ce63d6a8ac4d7c35a1b8d9bb", [ 5456; 15240; 0; 10 ]);
-    ("tall-flat-80", 242, "6e57ab0d9abc1dce50dc09894f0bac1a", [ 1699; 4803; 0; 8 ]);
-    ("tall-flat-160", 722, "d78479b58e7a17565f1f0dbbd83e7f5d", [ 4303; 11341; 0; 9 ]);
-    ("lp-shaped-67", 370, "9e7d277fc8393642eb5b25506f621c53", [ 65; 409; 159; 1 ]);
+    ("uniform-60", 101, "de5ecb3e245e1c1d1637123e0f39a325", [ 846; 2574; 0; 6; 846 ]);
+    ("uniform-120", 472, "0c32820763bfb74ede680b95cf69aa55", [ 2277; 6350; 0; 7; 2277 ]);
+    ("uniform-200", 1495, "0d77edf736c521813346a975a99fb720", [ 5120; 13905; 0; 9; 5120 ]);
+    ("correlated-100", 436, "72004b2a2e3ae2fb6ca291e63d57ea2d", [ 2227; 6121; 0; 8; 2227 ]);
+    ("correlated-200", 2146, "f4f470c9ce63d6a8ac4d7c35a1b8d9bb", [ 5456; 15240; 0; 10; 5456 ]);
+    ("tall-flat-80", 242, "6e57ab0d9abc1dce50dc09894f0bac1a", [ 1699; 4803; 0; 8; 1699 ]);
+    ("tall-flat-160", 722, "d78479b58e7a17565f1f0dbbd83e7f5d", [ 4303; 11341; 0; 9; 4303 ]);
+    ("lp-shaped-67", 370, "9e7d277fc8393642eb5b25506f621c53", [ 65; 409; 159; 1; 65 ]);
   ]
 
 let approx54_run inst =
@@ -207,7 +209,13 @@ let approx54_run inst =
   let cs =
     List.map I.counter
       I.Sites.
-        [ budget_fit_best_fit_probes; segtree_range_add; simplex_pivots; approx54_attempts ]
+        [
+          budget_fit_best_fit_probes;
+          segtree_range_add;
+          simplex_pivots;
+          approx54_attempts;
+          segtree_best_start;
+        ]
   in
   let before = List.map I.value cs in
   let pk = Dsp_algo.Approx54.solve inst in
@@ -221,7 +229,7 @@ let approx54_pin_tests =
             Alcotest.(check (triple int string (list int)))
               (name
              ^ ": height, starts digest, [best_fit probes; range_add; pivots; \
-                attempts]")
+                attempts; best_start]")
               (h, digest, work) (approx54_run inst))
           approx54_pins (approx54_corpus ()));
   ]

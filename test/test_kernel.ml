@@ -134,7 +134,7 @@ let scan_best_start a len =
     let best = ref (-1) and best_peak = ref max_int in
     for s = 0 to width - len do
       let m = window_max a s len in
-      if m < !best_peak then begin
+      if !best < 0 || m < !best_peak then begin
         best_peak := m;
         best := s
       end
@@ -428,21 +428,20 @@ let overflow_guard_cases () =
     "min_int threshold finds the last column" (Some 7)
     (Segtree.find_last_above t ~lo:0 ~hi:8 min_int)
 
-(* ---- copy interleaved with flattens ---- *)
+(* ---- copy interleaved with best_start scans ---- *)
 
-(* The flat kernel's flatten is dirty-tracked (only columns touched
-   since the last flatten are re-read into the buffer), and [copy]
-   carries that state over.  Interleave flattens, copies, and
-   post-copy updates on both sides of the fork to pin the
+(* [copy] carries the load-breakpoint state (difference array and
+   bitset) and gives the copy its own run scratch.  Interleave scans,
+   copies, and post-copy updates on both sides of the fork to pin the
    bookkeeping. *)
-let copy_flatten_interleaving () =
+let copy_scan_interleaving () =
   let w = 97 in
   let t = Segtree.create w in
   let reference = Array.make w 0 in
   let add t lo hi v = Segtree.range_add t ~lo ~hi v in
   add t 10 40 5;
   add t 30 90 2;
-  (* flatten once so the buffer holds stale-but-valid columns *)
+  (* scan once so the run scratch holds a stale answer *)
   ignore (Segtree.best_start t ~len:12);
   add t 0 20 7;
   let c = Segtree.copy t in
@@ -454,7 +453,7 @@ let copy_flatten_interleaving () =
         + if i < 20 then 7 else 0)
     reference;
   Alcotest.(check (list int))
-    "copy flattens to the source profile" (Array.to_list reference)
+    "copy holds the source profile" (Array.to_list reference)
     (Array.to_list (Segtree.to_array c));
   (* diverge both sides after the fork; neither may see the other *)
   add t 50 60 11;
@@ -469,6 +468,121 @@ let copy_flatten_interleaving () =
     (Array.to_list (Segtree.to_array c));
   Alcotest.(check bool) "best_start agrees with a scan after the fork" true
     (Segtree.best_start c ~len:9 = scan_best_start expect_c 9)
+
+(* ---- best_start over load breakpoints: edge shapes ---- *)
+
+(* [best_start], [best_start_i] / [best_peak] and [to_array] against
+   the plain array, for every window length (one past the width
+   included, which must answer "no fit"). *)
+let check_breakpoints what t a =
+  if Segtree.to_array t <> a then Alcotest.failf "%s: to_array differs" what;
+  for len = 1 to Array.length a + 1 do
+    let expect = scan_best_start a len in
+    if Segtree.best_start t ~len <> expect then
+      Alcotest.failf "%s len %d: best_start differs" what len;
+    let s = Segtree.best_start_i t ~len in
+    if (if s < 0 then None else Some (s, Segtree.best_peak t)) <> expect then
+      Alcotest.failf "%s len %d: best_start_i differs" what len
+  done
+
+(* Widths at the bitset's word edges (62 columns per word), each with
+   a random profile, strict staircases in both directions (one run per
+   column), flat profiles (one run), and the same profiles after
+   +3/-3 updates over random windows, which split and re-merge runs. *)
+let breakpoint_edge_shapes () =
+  let rng = Rng.create 61_000 in
+  List.iter
+    (fun w ->
+      let shapes =
+        [
+          ("zero", Array.make w 0);
+          ("flat", Array.make w 7);
+          ("negative flat", Array.make w (-4));
+          ("rising staircase", Array.init w (fun x -> x + 1));
+          ("falling staircase", Array.init w (fun x -> w - x));
+          ("negative staircase", Array.init w (fun x -> -x));
+          ("random", Array.init w (fun _ -> Rng.int_in rng (-3) 5));
+        ]
+      in
+      List.iter
+        (fun (name, a) ->
+          let what = Printf.sprintf "W=%d %s" w name in
+          let t = Segtree.of_array a in
+          check_breakpoints what t a;
+          for _ = 1 to 4 do
+            let lo = Rng.int rng w in
+            let hi = lo + 1 + Rng.int rng (w - lo) in
+            let v = if Rng.bool rng then 3 else -3 in
+            Segtree.range_add t ~lo ~hi v;
+            for x = lo to hi - 1 do
+              a.(x) <- a.(x) + v
+            done;
+            check_breakpoints (Printf.sprintf "%s after [%d,%d)%+d" what lo hi v) t a
+          done)
+        shapes)
+    [ 1; 61; 62; 63; 124; 125; 126 ]
+
+(* Loads at the ends of the int range: a column near [max_int] beside
+   a negative one, or one near [min_int] beside a positive one, makes
+   its difference cell wrap modulo 2^63, which must leave the prefix
+   sums and every non-zero bit exact.  The overflow guard admits one
+   huge positive column (the others stay <= 0 while it is added), so
+   each profile has one. *)
+let breakpoint_extreme_loads () =
+  let rng = Rng.create 62_000 in
+  let lows = [| min_int; min_int + 1; -5; 0 |] and highs = [| max_int; max_int - 1; 7 |] in
+  List.iter
+    (fun w ->
+      for k = 1 to 6 do
+        let a = Array.init w (fun _ -> lows.(Rng.int rng (Array.length lows))) in
+        a.(Rng.int rng w) <- highs.(Rng.int rng (Array.length highs));
+        let t = Segtree.of_array a in
+        check_breakpoints (Printf.sprintf "W=%d extremes #%d" w k) t a;
+        (* Lower a window clear of [min_int]: a negative add moves two
+           wrapped cells again. *)
+        let lo = Rng.int rng w in
+        let hi = lo + 1 + Rng.int rng (w - lo) in
+        let clear = ref true in
+        for x = lo to hi - 1 do
+          if a.(x) < min_int + 10 then clear := false
+        done;
+        if !clear then begin
+          Segtree.range_add t ~lo ~hi (-9);
+          for x = lo to hi - 1 do
+            a.(x) <- a.(x) - 9
+          done;
+          check_breakpoints (Printf.sprintf "W=%d extremes #%d lowered" w k) t a
+        end
+      done)
+    [ 1; 2; 61; 62; 63; 125 ]
+
+(* Copies and rollbacks interleaved: a copy taken inside a
+   checkpointed region carries the journal, so rolling back either
+   side must restore that side's breakpoints exactly while the other
+   keeps its own. *)
+let breakpoint_copy_rollback () =
+  for i = 1 to 12 do
+    let rng = Rng.create (63_000 + i) in
+    let w = [| 1; 61; 62; 63; 124; 125; 126 |].(i mod 7) in
+    let t = Segtree.create w in
+    random_adds rng t w 10;
+    let base = snap t in
+    let mark = Segtree.checkpoint t in
+    random_adds rng t w (1 + Rng.int rng 8);
+    ignore (Segtree.best_start_i t ~len:(1 + Rng.int rng w));
+    let forked = snap t in
+    let c = Segtree.copy t in
+    random_adds rng t w 3;
+    Segtree.rollback t mark;
+    check_breakpoints (Printf.sprintf "#%d source rolled back" i) t base;
+    check_breakpoints (Printf.sprintf "#%d copy untouched" i) c forked;
+    random_adds rng c w 3;
+    Segtree.rollback c mark;
+    check_breakpoints (Printf.sprintf "#%d copy rolled back" i) c base;
+    Segtree.reset c;
+    check_breakpoints (Printf.sprintf "#%d copy reset" i) c (Array.make w 0);
+    check_breakpoints (Printf.sprintf "#%d source after copy reset" i) t base
+  done
 
 let suite =
   [
@@ -486,8 +600,14 @@ let suite =
       checkpoint_discipline;
     Alcotest.test_case "overflow guards and int-boundary thresholds" `Quick
       overflow_guard_cases;
-    Alcotest.test_case "copy interleaved with dirty-tracked flattens" `Quick
-      copy_flatten_interleaving;
+    Alcotest.test_case "copy interleaved with best_start scans" `Quick
+      copy_scan_interleaving;
+    Alcotest.test_case "best_start at bitset word edges and staircases" `Quick
+      breakpoint_edge_shapes;
+    Alcotest.test_case "best_start with wrapping difference cells" `Quick
+      breakpoint_extreme_loads;
+    Alcotest.test_case "best_start across copies and rollbacks" `Quick
+      breakpoint_copy_rollback;
     Alcotest.test_case "of_starts matches naive (20 instances)" `Quick
       of_starts_differential;
     Helpers.qtest ~count:300 "first_fit_pos matches linear scan" query_arb

@@ -265,9 +265,11 @@ let project_config ~root =
               "descend_above";
               "last_above";
               "first_fit_from_i";
-              "push_down_sweep";
-              "push_subtree";
-              "best_start";
+              (* the load-breakpoint state and its run walk *)
+              "diff_add";
+              "to_array";
+              "ctz";
+              "best_start_i";
             ] );
         ("lib/core/profile.ml", Except [ "render"; "pp" ]);
         ( "lib/util/xutil.ml",

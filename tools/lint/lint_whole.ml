@@ -31,6 +31,7 @@ let project_config =
         "Segtree.range_max";
         "Segtree.first_fit_from_i";
         "Segtree.find_last_above_i";
+        "Segtree.best_start_i";
         "Dsp_bb.expand";
       ];
     r8_roots = [ "Server.handle" ];
