@@ -22,6 +22,18 @@ let fsync_conv =
   Arg.conv
     (parse, fun fmt p -> Format.pp_print_string fmt (Wal.fsync_policy_to_string p))
 
+(* Numeric flags are checked here, so a bad value is a usage error
+   rather than an exception out of Pool.create or a negative retry
+   hint passed on to clients. *)
+let int_at_least lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < lo ->
+        Error (`Msg (Printf.sprintf "%d is below the minimum %d" n lo))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let socket_arg =
   Arg.(
     value
@@ -33,7 +45,7 @@ let socket_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (int_at_least 1)) None
     & info [ "jobs" ] ~docv:"N"
         ~doc:"Worker domains for stateless solves (default: DSP_JOBS or the \
               hardware).")
@@ -41,10 +53,6 @@ let jobs_arg =
 let daemon socket stdio wal_dir fsync queue compact_every retry_after jobs =
   if (not stdio) && socket = None then begin
     prerr_endline "error: daemon needs --socket PATH or --stdio";
-    exit 2
-  end;
-  if queue < 1 then begin
-    prerr_endline "error: --queue must be >= 1";
     exit 2
   end;
   (* a client vanishing mid-reply must surface as EPIPE on the write,
@@ -149,7 +157,7 @@ let daemon_cmd =
   in
   let queue =
     Arg.(
-      value & opt int Server.default_config.Server.queue_limit
+      value & opt (int_at_least 1) Server.default_config.Server.queue_limit
       & info [ "queue" ] ~docv:"N"
           ~doc:"Max in-flight solves before shedding with 'overloaded'.")
   in
@@ -161,7 +169,7 @@ let daemon_cmd =
   in
   let retry_after =
     Arg.(
-      value & opt int Server.default_config.Server.retry_after_ms
+      value & opt (int_at_least 0) Server.default_config.Server.retry_after_ms
       & info [ "retry-after-ms" ] ~docv:"MS"
           ~doc:"Backoff hint attached to 'overloaded' responses.")
   in

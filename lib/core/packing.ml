@@ -30,16 +30,11 @@ let start t i = t.starts.(i)
 let starts t = Array.copy t.starts
 let profile t = Profile.of_starts t.instance t.starts
 let height t = Profile.peak (profile t)
-let is_valid inst starts = feasibility_error inst starts = None
 
 let validate t =
   match feasibility_error t.instance t.starts with
   | Some msg -> Error msg
   | None -> Ok ()
-
-let ratio_to t ~lower_bound =
-  if lower_bound <= 0 then invalid_arg "Packing.ratio_to: bound must be positive";
-  float_of_int (height t) /. float_of_int lower_bound
 
 let shift t i s =
   let starts = Array.copy t.starts in

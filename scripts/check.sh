@@ -91,6 +91,29 @@ timeout 60 dune exec bin/dsp_cli.exe -- \
   --inject "bb.nodes:raise" --timeout-ms 2000 "$inst" >/dev/null
 echo "ok: fallback chain stays total under injection"
 
+# Out-of-range numeric flags are usage errors (cmdliner's exit 124),
+# never an uncaught Invalid_argument (exit 125); the retired
+# autotuner's subcommand and flag stay unknown.
+expect_usage_error() {
+  local status=0
+  timeout 30 "$@" </dev/null >/dev/null 2>&1 || status=$?
+  if [ "$status" -ne 124 ]; then
+    echo "FAIL: '$*' exited $status (want usage error 124)" >&2
+    exit 1
+  fi
+}
+for args in "solve --timeout-ms=-5 $inst" "compare --timeout-ms=-5 $inst" \
+            "solve --budget-nodes=-1 $inst" "exact --nodes=-1 $inst" \
+            "generate --width=0" "trace --kind=gap --scale=0" \
+            "tune $inst" "solve --autotune $inst"; do
+  # shellcheck disable=SC2086
+  expect_usage_error ./_build/default/bin/dsp_cli.exe $args
+done
+for args in "--jobs=0" "--jobs=-1" "--retry-after-ms=-1" "--queue=0"; do
+  expect_usage_error ./_build/default/bin/dsp_served.exe daemon --stdio "$args"
+done
+echo "ok: bad numeric flags and removed subcommands are usage errors"
+
 # --- online-session smoke --------------------------------------------
 # Generate a tiny churn trace, replay it under every policy, and
 # require each replay to validate its final packing; then run the

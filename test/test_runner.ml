@@ -4,6 +4,7 @@
 module Runner = Dsp_engine.Runner
 module Registry = Dsp_engine.Registry
 module Report = Dsp_engine.Report
+module Solver = Dsp_engine.Solver
 module Fault = Dsp_util.Fault
 module Budget = Dsp_util.Budget
 
@@ -133,6 +134,44 @@ let chain_tests =
         in
         Alcotest.(check bool) "got a report" true
           (res.Runner.report.Report.peak > 0));
+    Alcotest.test_case "each stage gets remaining / stages left" `Quick
+      (fun () ->
+        (* Stages that give up at once: each sees its share of an
+           almost untouched deadline, so 3000ms splits 1000/1500/3000. *)
+        let seen = ref [] in
+        let stage name =
+          {
+            Solver.name;
+            family = Solver.Baseline;
+            complexity = Solver.Poly;
+            doc = "records its deadline, then gives up";
+            solve =
+              (fun ~budget _ ->
+                seen := (name, Budget.remaining_ms budget) :: !seen;
+                raise (Solver.Budget_exhausted "test stage"));
+          }
+        in
+        let res =
+          Runner.solve ~timeout_ms:3000
+            ~chain:[ stage "a"; stage "b"; stage "c" ]
+            (small_instance ())
+        in
+        let within want (name, got) =
+          match got with
+          | Some ms when Float.abs (ms -. want) <= 50. -> ()
+          | Some ms -> Alcotest.failf "stage %s saw %.0fms, want ~%.0f" name ms want
+          | None -> Alcotest.failf "stage %s saw no deadline" name
+        in
+        (match List.rev !seen with
+        | [ a; b; c ] ->
+            within 1000. a;
+            within 1500. b;
+            within 3000. c
+        | l -> Alcotest.failf "%d stages ran, want 3" (List.length l));
+        Alcotest.(check bool) "safety net answered" true res.Runner.safety_net;
+        Alcotest.(check (list string))
+          "every stage fell through" [ "a"; "b"; "c" ]
+          (List.map (fun f -> f.Runner.solver) res.Runner.failures));
     Alcotest.test_case "empty chain rejected" `Quick (fun () ->
         Alcotest.(check bool) "raises" true
           (try
